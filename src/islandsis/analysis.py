@@ -252,10 +252,10 @@ def taylor_coefficients(params: MeanFieldParams, y0: np.ndarray, n_max: int) -> 
         c[1] = rhs(y0, params)
     s = np.zeros_like(c)  # s[n] = neighbor-weighted sums of c[n]
     t = np.zeros((n_max + 1, m))  # t[n] = per-island strain totals of c[n]
-    s[0] = np.einsum("kij,jk->ik", params.w, c[0])
+    s[0] = params.pressure(c[0])
     t[0] = c[0].sum(axis=-1)
     for n in range(1, n_max):
-        s[n] = np.einsum("kij,jk->ik", params.w, c[n])
+        s[n] = params.pressure(c[n])
         t[n] = c[n].sum(axis=-1)
         cross = np.zeros((m, kk))
         for mm in range(1, n + 1):

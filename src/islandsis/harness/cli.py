@@ -9,7 +9,7 @@ override the config; the ISLANDSIS_OUT environment variable overrides the
 config's output directory (but not --out).
 
 Exit status: 0 on success, 1 when a requested check fails, 2 on a config or
-hypothesis error.
+hypothesis error or when the ODE integration fails.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import sys
 from pathlib import Path
 
 from ..analysis import UnmetHypothesisError, classify_multi, classify_single, taylor_coefficients
+from ..meanfield import IntegrationError
 from ..topology import is_regular, superdegree
 from .config import ConfigError, ExperimentConfig
 from .experiments import run_compare, run_converge, run_meanfield, run_simulate
@@ -167,6 +168,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except IntegrationError as exc:
+        print(f"integration error: {exc}", file=sys.stderr)
         return 2
 
 

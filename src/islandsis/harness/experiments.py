@@ -134,6 +134,7 @@ def run_meanfield(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         "rng_algorithm": None,
         "master_seed": cfg.seed,
         "integrator": traj.integrator_metadata(),
+        "stats": {"n_steps": traj.n_steps, "n_rejected": traj.n_rejected},
         "files": ["meanfield.csv"],
         "created_at": _timestamp(),
     }

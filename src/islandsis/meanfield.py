@@ -7,6 +7,8 @@ As island sizes grow, the per-island infected fractions y[i, k] follow
 with effective rates w_k(j, i) = gamma_k(j, i) * N_j / N_i and the healing
 rate normalized to one.  Callers with healing rate mu != 1 must rescale
 (gamma -> gamma/mu, t -> mu*t) before building :class:`MeanFieldParams`.
+The rates are one weight per strain and directed island edge, so a call of
+:func:`rhs` costs O(K*E) for E directed edges, not O(K*M^2).
 
 States are plain float arrays of shape (M, K); any number of leading batch
 dimensions is accepted by :func:`rhs` and :func:`integrate`, in which case all
@@ -25,7 +27,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .micro import StrainParams
-from .topology import SuperNetwork, is_regular, superdegree
+from .topology import SuperNetwork
 
 
 class IntegrationError(RuntimeError):
@@ -36,8 +38,9 @@ class IntegrationError(RuntimeError):
 class MeanFieldParams:
     """Effective rates of the limiting dynamics on a given supernetwork.
 
-    w has shape (K, M, M); w[k-1, i-1, j-1] is the effective rate from island
-    j into island i for strain k (zero off the adjacency).
+    Rates live on the directed island edges (src, dst) = net.in_edges: w has
+    shape (K, E) and w[k-1, e] is the effective rate of strain k from island
+    src[e] into island dst[e].  Every edge carries a strictly positive rate.
     """
 
     net: SuperNetwork
@@ -46,24 +49,20 @@ class MeanFieldParams:
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
-        m = self.net.num_islands
-        if w.shape != (self.num_strains, m, m):
-            raise ValueError(f"rate tensor must have shape ({self.num_strains}, {m}, {m})")
-        adj = self.net.adjacency_matrix() > 0
-        if np.any((w != 0) & ~adj[None, :, :]):
-            raise ValueError("nonzero effective rate off the island adjacency")
-        if np.any(w[:, adj] <= 0):
+        if w.shape != (self.num_strains, self.net.in_edges[0].size):
+            raise ValueError("rates must have shape (num_strains, number of directed edges)")
+        if not np.all(w > 0):
             raise ValueError("effective rates on edges must be strictly positive")
-        w = w.copy()
+        # Stored edge-major, so w.T, the layout `pressure` multiplies by, is contiguous.
+        w = w.T.copy().T
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
 
     @classmethod
     def symmetric(cls, net: SuperNetwork, gammas: float | Sequence[float]) -> "MeanFieldParams":
         """Equal island sizes assumed; one uniform rate per strain."""
-        gseq = [float(g) for g in (gammas if _is_seq(gammas) else [gammas])]
-        adj = net.adjacency_matrix()
-        w = np.stack([g * adj for g in gseq])
+        gseq = [float(g) for g in np.atleast_1d(gammas)]
+        w = np.repeat(np.array(gseq)[:, None], net.in_edges[0].size, axis=1)
         return cls(net=net, num_strains=len(gseq), w=w)
 
     @classmethod
@@ -75,10 +74,10 @@ class MeanFieldParams:
         if any(mu != 1.0 for mu in params.mu):
             raise ValueError("healing rates must be normalized to 1 (rescale gamma and time)")
         params.validate_for(net)
-        m = net.num_islands
-        w = np.zeros((params.num_strains, m, m))
-        for (k, j, i), g in params.gamma.items():
-            w[k - 1, i - 1, j - 1] = g * net.sizes[j - 1] / net.sizes[i - 1]
+        n = net.sizes
+        pairs = list(zip(*(a.tolist() for a in net.in_edges)))
+        w = [[params.gamma[(k, j + 1, i + 1)] * n[j] / n[i] for j, i in pairs]
+             for k in range(1, params.num_strains + 1)]
         return cls(net=net, num_strains=params.num_strains, w=w)
 
     @classmethod
@@ -86,39 +85,41 @@ class MeanFieldParams:
         cls, net: SuperNetwork, num_strains: int, gamma_eff: Mapping[tuple[int, int, int], float]
     ) -> "MeanFieldParams":
         """Directly supplied effective rates keyed (strain, source j, target i)."""
-        m = net.num_islands
-        w = np.zeros((num_strains, m, m))
+        pairs = zip(*(a.tolist() for a in net.in_edges))
+        index = {(j + 1, i + 1): e for e, (j, i) in enumerate(pairs)}
+        w = np.zeros((num_strains, len(index)))
         for (k, j, i), g in gamma_eff.items():
-            w[k - 1, i - 1, j - 1] = g
+            if (j, i) not in index or not 1 <= k <= num_strains:
+                raise ValueError(f"rate keyed {(k, j, i)} is off the island adjacency")
+            w[k - 1, index[(j, i)]] = g
         return cls(net=net, num_strains=num_strains, w=w)
+
+    def pressure(self, y: np.ndarray) -> np.ndarray:
+        """sum_{j ~ i} w_k(j, i) * y[..., j, k] as an array shaped like y, in O(K*E).
+
+        A gather along the edges, then one segment sum per target island that
+        has neighbors; islands without any get exactly 0.
+        """
+        targets, starts = self.net.in_edge_groups
+        summed = np.add.reduceat(y.take(self.net.in_edges[0], axis=-2) * self.w.T, starts, axis=-2)
+        if not self.net.degenerate:
+            return summed
+        out = np.zeros(y.shape)
+        out[..., targets, :] = summed
+        return out
 
     @cached_property
     def is_symmetric_configuration(self) -> bool:
         """Equal island sizes and one uniform effective rate per strain."""
-        if len(set(self.net.sizes)) != 1:
-            return False
-        adj = self.net.adjacency_matrix() > 0
-        for k in range(self.num_strains):
-            on_edges = self.w[k][adj]
-            if on_edges.size and not np.all(on_edges == on_edges.flat[0]):
-                return False
-        return True
+        return len(set(self.net.sizes)) == 1 and bool(np.all(self.w == self.w[:, :1]))
 
     def uniform_rate(self, strain: int = 1) -> float:
         """The single effective rate of a symmetric configuration."""
         if not self.is_symmetric_configuration:
             raise ValueError("configuration is not symmetric; no single rate exists")
-        adj = self.net.adjacency_matrix() > 0
-        return float(self.w[strain - 1][adj].flat[0])
-
-    def degree(self) -> int:
-        if not is_regular(self.net):
-            raise ValueError("supernetwork is not regular; islands have different degrees")
-        return superdegree(self.net, 1)
-
-
-def _is_seq(x) -> bool:
-    return isinstance(x, (list, tuple, np.ndarray))
+        if not 1 <= strain <= self.num_strains:
+            raise ValueError(f"strain {strain} out of range 1..{self.num_strains}")
+        return float(self.w[strain - 1, 0])
 
 
 def validate_state(y: np.ndarray, params: MeanFieldParams, tol: float = 0.0) -> np.ndarray:
@@ -135,9 +136,7 @@ def validate_state(y: np.ndarray, params: MeanFieldParams, tol: float = 0.0) -> 
 def rhs(y: np.ndarray, params: MeanFieldParams) -> np.ndarray:
     """Time derivative of the infected fractions; batch dims pass through."""
     y = np.asarray(y, dtype=float)
-    pressure = np.einsum("kij,...jk->...ik", params.w, y)
-    total = y.sum(axis=-1, keepdims=True)
-    return pressure * (1.0 - total) - y
+    return params.pressure(y) * (1.0 - y.sum(axis=-1, keepdims=True)) - y
 
 
 @dataclass(frozen=True)

@@ -145,13 +145,26 @@ class MacroCounts:
 
     @classmethod
     def from_fractions(cls, net: SuperNetwork, fractions) -> "MacroCounts":
-        """Round per-island fractions (M x K array-like, or length-M for one strain)."""
+        """Round per-island fractions (M x K array-like, or length-M for one strain).
+
+        Each count is round(f * N).  A row whose counts would then exceed its
+        island size N is rounded by largest remainder instead: each strain
+        gets floor(f * N), and the round(sum f * N) - sum floor left over go
+        one each to the largest remainders, ties to the lower strain index.
+        """
         arr = np.asarray(fractions, dtype=float)
         if arr.ndim == 1:
             arr = arr[:, None]
         rows = []
         for frac_row, n in zip(arr, net.sizes):
-            rows.append(tuple(int(round(f * n)) for f in frac_row))
+            quotas = (frac_row * n).tolist()
+            row = [round(q) for q in quotas]
+            if sum(row) > n:
+                row = [math.floor(q) for q in quotas]
+                left = round(sum(quotas)) - sum(row)
+                for k in sorted(range(len(row)), key=lambda k: (row[k] - quotas[k], k))[:left]:
+                    row[k] += 1
+            rows.append(tuple(row))
         return cls(tuple(rows), net.sizes)
 
     def as_array(self) -> np.ndarray:

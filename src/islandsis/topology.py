@@ -68,6 +68,27 @@ class SuperNetwork:
                     queue.append(v)
         return len(seen) == self.num_islands
 
+    @cached_property
+    def in_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Directed island edges as 0-based index arrays (src, dst), grouped by target.
+
+        Each undirected edge appears once per direction.  The edges into
+        island 1 come first, then those into island 2, and so on; within a
+        group the sources ascend.  Both arrays are read-only.
+        """
+        src = np.array([j - 1 for nbrs in self.neighbors for j in nbrs], dtype=np.intp)
+        dst = np.repeat(np.arange(self.num_islands), [len(n) for n in self.neighbors])
+        for a in (src, dst):
+            a.setflags(write=False)
+        return src, dst
+
+    @cached_property
+    def in_edge_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """Islands with a neighbor (0-based), and where their groups of in_edges start."""
+        degrees = np.array([len(n) for n in self.neighbors])
+        targets = np.flatnonzero(degrees)
+        return targets, (np.cumsum(degrees) - degrees)[targets]
+
     def adjacency_matrix(self) -> np.ndarray:
         """Dense 0/1 island adjacency, shape (M, M), row/col 0 is island 1."""
         m = self.num_islands

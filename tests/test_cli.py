@@ -1,7 +1,13 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import yaml
 
+import islandsis
 from islandsis.harness.cli import main
 
 BASE = {
@@ -171,3 +177,42 @@ def test_env_out_override(tmp_path, monkeypatch, capsys):
     flagdir = tmp_path / "from_flag"
     assert main(["meanfield", str(cfg), "--out", str(flagdir)]) == 0
     assert (flagdir / "meanfield.csv").exists()
+
+
+def test_integration_failure_exits_2(tmp_path, capsys):
+    # RK4 with step 0.5 is unstable at gamma 50 and leaves the simplex
+    cfg = write_cfg(
+        tmp_path,
+        strains=[{"gamma": 50.0, "mu": 1.0}],
+        t_end=5.0,
+        integrator={"method": "rk4", "fixed_step": 0.5},
+    )
+    assert main(["meanfield", str(cfg), "--out", str(tmp_path / "mf")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("integration error: "), err
+
+
+# sha256 of meanfield.csv for the BASE config, as written before the manifest
+# gained its stats block; the integrator counts must not reach the CSV.
+BASE_MEANFIELD_CSV_SHA256 = "67b6408b5efad556461b84ae2f192496559e95e082da20a5012fddb7313b657b"
+
+
+def test_meanfield_manifest_stats_leave_csv_unchanged(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "mf"
+    assert main(["meanfield", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "meanfield_manifest.json").read_text())
+    assert manifest["stats"] == {"n_steps": 18, "n_rejected": 2}
+    data = (out / "meanfield.csv").read_bytes()
+    assert b"n_steps" not in data and b"n_rejected" not in data
+    assert hashlib.sha256(data).hexdigest() == BASE_MEANFIELD_CSV_SHA256
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy costs every CLI call its import time; only tests may load it
+    src = str(Path(islandsis.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, islandsis.harness.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                            check=True, timeout=60)
+    assert result.stdout.strip() == "[]"

@@ -21,20 +21,31 @@ from islandsis.topology import bipartite_supernetwork, cycle_supernetwork
 BIP = bipartite_supernetwork(1, 1)
 
 
+def edge_rates(params):
+    """{(strain, source j, target i): rate}, 1-based, read back from the edge list."""
+    src, dst = params.net.in_edges
+    return {
+        (k + 1, j + 1, i + 1): params.w[k, e]
+        for k in range(params.num_strains)
+        for e, (j, i) in enumerate(zip(src.tolist(), dst.tolist()))
+    }
+
+
 class TestParams:
     def test_off_adjacency_rate_rejected(self):
-        w = np.ones((1, 2, 2))  # diagonal entries are not edges
+        rates = {(1, 1, 2): 1.0, (1, 2, 1): 1.0, (1, 1, 1): 1.0}  # (1, 1, 1) is not an edge
         with pytest.raises(ValueError):
-            MeanFieldParams(net=BIP, num_strains=1, w=w)
+            MeanFieldParams.from_rates(BIP, 1, rates)
 
     def test_from_micro_applies_size_ratios(self):
         net = bipartite_supernetwork(2, 4)
         params = MeanFieldParams.from_micro(net, StrainParams.uniform(net, 3.0))
+        rate = edge_rates(params)
         # into island 2 from island 1: alpha = N1/N2 = 1/2; the reverse is 2
-        assert params.w[0, 1, 0] == pytest.approx(1.5)
-        assert params.w[0, 0, 1] == pytest.approx(6.0)
+        assert rate[(1, 1, 2)] == pytest.approx(1.5)
+        assert rate[(1, 2, 1)] == pytest.approx(6.0)
         # size-ratio factors cancel in opposite directions
-        assert params.w[0, 1, 0] * params.w[0, 0, 1] == pytest.approx(9.0)
+        assert rate[(1, 1, 2)] * rate[(1, 2, 1)] == pytest.approx(9.0)
         assert not params.is_symmetric_configuration
 
     def test_from_micro_requires_normalized_healing(self):
@@ -50,6 +61,13 @@ class TestParams:
         )
         assert not mixed.is_symmetric_configuration
         assert MeanFieldParams.symmetric(BIP, 2.0).uniform_rate() == 2.0
+
+    def test_uniform_rate_rejects_unknown_strain(self):
+        params = MeanFieldParams.symmetric(BIP, (2.0, 0.5))
+        assert params.uniform_rate(2) == 0.5
+        for strain in (0, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                params.uniform_rate(strain)
 
 
 class TestRhs:

@@ -73,6 +73,27 @@ class TestMacroCounts:
         counts = MacroCounts.from_fractions(BIP33, [[0.34], [0.5]])
         assert counts.y == ((1,), (2,))
 
+    def test_from_fractions_never_overfills(self):
+        # 0.5 * 3 rounds to 2 for both strains, 4 > 3: largest remainder
+        # gives the tied leftover seat to the lower strain index
+        counts = MacroCounts.from_fractions(BIP33, [[0.5, 0.5], [0.2, 0.7]])
+        assert counts.y == ((2, 1), (1, 2))
+        assert MacroCounts.from_fractions(BIP33, [[0.2, 0.7], [0.5, 0.5]]).y == ((1, 2), (2, 1))
+
+    def test_from_fractions_keeps_rows_that_fit(self):
+        # every row whose per-strain rounding fits keeps exactly that rounding
+        net = bipartite_supernetwork(7, 10)
+        fractions = [[0.5, 0.21, 0.29], [0.25, 0.35, 0.05]]
+        counts = MacroCounts.from_fractions(net, fractions)
+        assert counts.y == ((4, 1, 2), (2, 4, 0))
+        assert counts.y == tuple(
+            tuple(int(round(f * n)) for f in row) for row, n in zip(fractions, net.sizes)
+        )
+
+    def test_from_fractions_still_rejects_overfull_input(self):
+        with pytest.raises(ValueError):
+            MacroCounts.from_fractions(BIP33, [[0.7, 0.7], [0.0, 0.0]])
+
 
 class TestGillespieStep:
     def test_absorbing_state(self):
