@@ -2,11 +2,10 @@
 
     islandsis <subcommand> <config.yaml> [--seed N] [--out DIR]
 
-Subcommands: simulate, meanfield, converge, classify, taylor, compare,
-suite, plotdata.  The only positional arguments are the subcommand and the
-config path; everything else lives in the config file.  --seed and --out
-override the config; the ISLANDSIS_OUT environment variable overrides the
-config's output directory (but not --out).
+The subcommands are the keys of COMMANDS.  The only positional arguments
+are the subcommand and the config path; everything else lives in the config
+file.  --seed and --out override the config; the ISLANDSIS_OUT environment
+variable overrides the config's output directory (but not --out).
 
 Exit status: 0 on success, 1 when a requested check fails, 2 on a config or
 hypothesis error or when the ODE integration fails.
@@ -30,29 +29,35 @@ from .trajio import emit_plot_data
 
 ENV_OUT = "ISLANDSIS_OUT"
 
-COMMANDS = (
-    "simulate",
-    "meanfield",
-    "converge",
-    "classify",
-    "taylor",
-    "compare",
-    "suite",
-    "plotdata",
-)
-
 
 def _resolve_out(cfg: ExperimentConfig, flag: str | None) -> Path:
-    if flag:
-        return Path(flag)
-    env = os.environ.get(ENV_OUT)
-    if env:
-        return Path(env)
-    return Path(cfg.raw.get("out", "out"))
+    return Path(flag or os.environ.get(ENV_OUT) or cfg.raw.get("out", "out"))
 
 
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
+
+
+def _cmd_simulate(cfg: ExperimentConfig, out: Path) -> int:
+    _emit(run_simulate(cfg, out))
+    return 0
+
+
+def _cmd_meanfield(cfg: ExperimentConfig, out: Path) -> int:
+    _emit(run_meanfield(cfg, out))
+    return 0
+
+
+def _cmd_converge(cfg: ExperimentConfig, out: Path) -> int:
+    report = run_converge(cfg, out)
+    _emit(report.to_dict())
+    return 0 if report.monotone_trend else 1
+
+
+def _cmd_compare(cfg: ExperimentConfig, out: Path) -> int:
+    report = run_compare(cfg, out)
+    _emit(report)
+    return 0 if report.get("passed", True) else 1
 
 
 def _cmd_classify(cfg: ExperimentConfig, out: Path) -> int:
@@ -126,6 +131,19 @@ def _cmd_plotdata(cfg: ExperimentConfig, out: Path) -> int:
     return 0
 
 
+# Handlers look their runners up when called, so patching `cli.run_converge` works.
+COMMANDS = {
+    "simulate": _cmd_simulate,
+    "meanfield": _cmd_meanfield,
+    "converge": _cmd_converge,
+    "classify": _cmd_classify,
+    "taylor": _cmd_taylor,
+    "compare": _cmd_compare,
+    "suite": _cmd_suite,
+    "plotdata": _cmd_plotdata,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="islandsis", description=__doc__.splitlines()[0])
     parser.add_argument("command", choices=COMMANDS)
@@ -139,34 +157,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             cfg.raw["seed"] = args.seed
         out = _resolve_out(cfg, args.out)
-
-        if args.command == "simulate":
-            _emit(run_simulate(cfg, out))
-            return 0
-        if args.command == "meanfield":
-            _emit(run_meanfield(cfg, out))
-            return 0
-        if args.command == "converge":
-            report = run_converge(cfg, out)
-            _emit(report.to_dict())
-            return 0 if report.monotone_trend else 1
-        if args.command == "classify":
-            return _cmd_classify(cfg, out)
-        if args.command == "taylor":
-            return _cmd_taylor(cfg, out)
-        if args.command == "compare":
-            report = run_compare(cfg, out)
-            _emit(report)
-            return 0 if report.get("passed", True) else 1
-        if args.command == "suite":
-            return _cmd_suite(cfg, out)
-        if args.command == "plotdata":
-            return _cmd_plotdata(cfg, out)
-        raise AssertionError(args.command)
-    except (ConfigError, UnmetHypothesisError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        return COMMANDS[args.command](cfg, out)
+    except (UnmetHypothesisError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except IntegrationError as exc:

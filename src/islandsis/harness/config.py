@@ -54,7 +54,7 @@ import numpy as np
 import yaml
 
 from ..meanfield import MeanFieldParams, StepControl
-from ..micro import MacroCounts, StrainParams
+from ..micro import MacroCounts, StrainParams, edge_rows
 from ..topology import (
     SuperNetwork,
     TopologyError,
@@ -93,6 +93,12 @@ def _as_positive_int(value, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
         raise ConfigError(path, f"expected a positive integer, got {value!r}")
     return value
+
+
+def _as_number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(path, f"expected a number, got {value!r}")
+    return float(value)
 
 
 def _as_positive_float(value, path: str) -> float:
@@ -201,6 +207,9 @@ class ExperimentConfig:
                 edges = _need(topo, "edges", "topology")
                 if not isinstance(edges, list):
                     raise ConfigError("topology.edges", "expected a list of [j, i] pairs")
+                for n, e in enumerate(edges):
+                    if not isinstance(e, list) or len(e) != 2:
+                        raise ConfigError(f"topology.edges[{n}]", f"expected a [j, i] pair, got {e}")
                 return build_supernetwork(sizes, [tuple(e) for e in edges])
         except TopologyError as exc:
             raise ConfigError("topology", str(exc)) from exc
@@ -211,41 +220,41 @@ class ExperimentConfig:
 
     # -- strains -----------------------------------------------------------
 
-    def strain_specs(self) -> list[dict]:
+    def strain_specs(self) -> list[tuple[str, Any, float]]:
+        """(field path, gamma value, validated mu) per strain."""
         strains = _need(self.raw, "strains", "")
         if not isinstance(strains, list) or not strains:
             raise ConfigError("strains", "expected a non-empty list")
-        return strains
-
-    def strain_params(self, net: SuperNetwork) -> StrainParams:
-        gamma: dict[tuple[int, int, int], float] = {}
-        mus: list[float] = []
-        for k, section in enumerate(self.strain_specs(), start=1):
-            path = f"strains[{k - 1}]"
+        specs = []
+        for k, section in enumerate(strains):
+            path = f"strains[{k}]"
             if not isinstance(section, dict):
                 raise ConfigError(path, "expected a mapping with gamma (and optional mu)")
             g = _need(section, "gamma", path)
-            mus.append(_as_positive_float(section.get("mu", 1.0), f"{path}.mu"))
-            if isinstance(g, dict):
-                for pair, rate in g.items():
-                    try:
-                        j, i = (int(x) for x in str(pair).split("->"))
-                    except ValueError:
-                        raise ConfigError(
-                            f"{path}.gamma", f'pair keys look like "j->i", got {pair!r}'
-                        ) from None
-                    gamma[(k, j, i)] = _as_positive_float(rate, f"{path}.gamma[{pair}]")
-            else:
-                rate = _as_positive_float(g, f"{path}.gamma")
-                for a, b in net.edges:
-                    gamma[(k, a, b)] = rate
-                    gamma[(k, b, a)] = rate
-        params = StrainParams(num_strains=len(mus), gamma=gamma, mu=tuple(mus))
-        try:
-            params.validate_for(net)
-        except ValueError as exc:
-            raise ConfigError("strains", str(exc)) from exc
-        return params
+            specs.append((path, g, _as_positive_float(section.get("mu", 1.0), f"{path}.mu")))
+        return specs
+
+    def strain_params(self, net: SuperNetwork) -> StrainParams:
+        rows: list[tuple[float, ...]] = []
+        specs = self.strain_specs()
+        for k, (path, g, _) in enumerate(specs, start=1):
+            if not isinstance(g, dict):
+                rows += StrainParams.uniform(net, _as_positive_float(g, f"{path}.gamma")).gamma
+                continue
+            rates = {}
+            for pair, rate in g.items():
+                try:
+                    j, i = (int(x) for x in str(pair).split("->"))
+                except ValueError:
+                    raise ConfigError(
+                        f"{path}.gamma", f'pair keys look like "j->i", got {pair!r}'
+                    ) from None
+                rates[(k, j, i)] = _as_positive_float(rate, f"{path}.gamma[{pair}]")
+            try:
+                rows += edge_rows(net, rates, (k,))
+            except ValueError as exc:
+                raise ConfigError(f"{path}.gamma", str(exc)) from exc
+        return StrainParams(net=net, gamma=tuple(rows), mu=tuple(mu for _, _, mu in specs))
 
     def common_mu(self) -> float:
         """The shared healing rate; refuses strain-heterogeneous mu.
@@ -253,7 +262,7 @@ class ExperimentConfig:
         Comparing against the limiting dynamics rescales time by mu and rates
         by 1/mu, which only makes sense when all strains share one mu.
         """
-        mus = {float(section.get("mu", 1.0)) for section in self.strain_specs()}
+        mus = {mu for _, _, mu in self.strain_specs()}
         if len(mus) > 1:
             raise ConfigError(
                 "strains.mu",
@@ -266,11 +275,8 @@ class ExperimentConfig:
         """Effective ODE rates: micro gamma over the common mu, times size ratios."""
         mu = self.common_mu()
         params = self.strain_params(net)
-        scaled = StrainParams(
-            num_strains=params.num_strains,
-            gamma={key: g / mu for key, g in params.gamma.items()},
-            mu=(1.0,) * params.num_strains,
-        )
+        scaled = StrainParams(net, tuple(tuple(g / mu for g in rates) for rates in params.gamma),
+                              (1.0,) * params.num_strains)
         return MeanFieldParams.from_micro(net, scaled)
 
     # -- initial conditions -------------------------------------------------
@@ -285,9 +291,9 @@ class ExperimentConfig:
         if kind == "uniform":
             frac = _need(section, "fraction", "initial")
             row = (
-                [float(f) for f in frac]
+                [_as_number(f, f"initial.fraction[{k}]") for k, f in enumerate(frac)]
                 if isinstance(frac, list)
-                else [float(frac)] * kk
+                else [_as_number(frac, "initial.fraction")] * kk
             )
             if len(row) != kk:
                 raise ConfigError("initial.fraction", f"expected {kk} per-strain entries")
@@ -303,7 +309,8 @@ class ExperimentConfig:
             if island > m or strain > kk:
                 raise ConfigError("initial", f"island {island}/strain {strain} out of range")
             y0 = np.zeros((m, kk))
-            y0[island - 1, strain - 1] = float(_need(section, "fraction", "initial"))
+            y0[island - 1, strain - 1] = _as_number(_need(section, "fraction", "initial"),
+                                                    "initial.fraction")
         else:
             raise ConfigError("initial.kind", f"unknown kind {kind!r}")
         if np.any(y0 < 0) or np.any(y0.sum(axis=1) > 1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -30,14 +30,28 @@ def params_hash(params: StrainParams) -> str:
     return canonical_hash(
         {
             "num_strains": params.num_strains,
-            "gamma": sorted((list(k), v) for k, v in params.gamma.items()),
+            "gamma": sorted(([k, j, i], g) for k, rates in enumerate(params.gamma, start=1)
+                            for (j, i), g in zip(params.net.in_edge_pairs, rates)),
             "mu": list(params.mu),
         }
     )
 
 
-def _timestamp() -> str:
-    return _dt.datetime.now(_dt.timezone.utc).isoformat()
+def _write_run_manifest(path: Path, cfg: ExperimentConfig, command: str, files: list[str],
+                        **fields) -> dict:
+    """Write the fields every run manifest carries, plus the command's own; return them."""
+    manifest = {
+        "format": "islandsis-manifest v1",
+        "command": command,
+        "config_hash": canonical_hash(cfg.resolved()),
+        "library_version": __version__,
+        "master_seed": cfg.seed,
+        "files": files,
+        "created_at": _dt.datetime.now(_dt.timezone.utc).isoformat(),
+        **fields,
+    }
+    write_manifest(path, manifest)
+    return manifest
 
 
 def _simulate_task(args) -> tuple[int, MicroTrajectory]:
@@ -84,21 +98,10 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         name = f"traj_rep{traj.rep:04d}.csv"
         write_micro_trajectory(out / name, traj, extra_meta={"params_hash": phash})
         files.append(name)
-    manifest = {
-        "format": "islandsis-manifest v1",
-        "command": "simulate",
-        "config_hash": canonical_hash(cfg.resolved()),
-        "params_hash": phash,
-        "library_version": __version__,
-        "rng_algorithm": RNG_ALGORITHM,
-        "master_seed": cfg.seed,
-        "replications": cfg.replications,
-        "integrator": None,
-        "files": files,
-        "created_at": _timestamp(),
-    }
-    write_manifest(out / MANIFEST_NAME, manifest)
-    return manifest
+    return _write_run_manifest(
+        out / MANIFEST_NAME, cfg, "simulate", files, params_hash=phash,
+        rng_algorithm=RNG_ALGORITHM, replications=cfg.replications, integrator=None,
+    )
 
 
 def meanfield_run(cfg: ExperimentConfig, net: SuperNetwork, y0: np.ndarray, grid: np.ndarray):
@@ -126,20 +129,11 @@ def run_meanfield(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         out / "meanfield.csv", traj, times=grid,
         extra_meta={"regime": regime, "healing_rate": cfg.common_mu()},
     )
-    manifest = {
-        "format": "islandsis-manifest v1",
-        "command": "meanfield",
-        "config_hash": canonical_hash(cfg.resolved()),
-        "library_version": __version__,
-        "rng_algorithm": None,
-        "master_seed": cfg.seed,
-        "integrator": traj.integrator_metadata(),
-        "stats": {"n_steps": traj.n_steps, "n_rejected": traj.n_rejected},
-        "files": ["meanfield.csv"],
-        "created_at": _timestamp(),
-    }
-    write_manifest(out / MEANFIELD_MANIFEST_NAME, manifest)
-    return manifest
+    return _write_run_manifest(
+        out / MEANFIELD_MANIFEST_NAME, cfg, "meanfield", ["meanfield.csv"], rng_algorithm=None,
+        integrator=traj.integrator_metadata(),
+        stats={"n_steps": traj.n_steps, "n_rejected": traj.n_rejected},
+    )
 
 
 def sup_deviation(mean_fractions: np.ndarray, ode_states: np.ndarray):
@@ -152,6 +146,16 @@ def sup_deviation(mean_fractions: np.ndarray, ode_states: np.ndarray):
     return float(gap.flat[flat]), np.unravel_index(flat, gap.shape)
 
 
+def mean_vs_ode(cfg: ExperimentConfig, net: SuperNetwork, fractions: np.ndarray, grid: np.ndarray):
+    """|mean - ODE| over (T, M, K) for replicated fractions (R, T, M, K), its sup and argmax.
+
+    The ODE starts from the exact fractions the config's rounded initial counts realize.
+    """
+    mean = fractions.mean(axis=0)
+    _, ode = meanfield_run(cfg, net, cfg.initial_counts(net).fractions(), grid)
+    return (np.abs(mean - ode.states), *sup_deviation(mean, ode.states))
+
+
 @dataclass
 class ConvergenceRecord:
     size: int
@@ -160,12 +164,7 @@ class ConvergenceRecord:
     stderr: float  # standard error of the mean fraction at the sup location
 
     def to_dict(self) -> dict:
-        return {
-            "size": self.size,
-            "replications": self.replications,
-            "deviation": self.deviation,
-            "stderr": self.stderr,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -175,11 +174,7 @@ class ConvergenceReport:
     tolerance_heuristic: str
 
     def to_dict(self) -> dict:
-        return {
-            "records": [r.to_dict() for r in self.records],
-            "monotone_trend": self.monotone_trend,
-            "tolerance_heuristic": self.tolerance_heuristic,
-        }
+        return asdict(self)
 
 
 def run_converge(cfg: ExperimentConfig, out_dir: str | Path) -> ConvergenceReport:
@@ -196,15 +191,13 @@ def run_converge(cfg: ExperimentConfig, out_dir: str | Path) -> ConvergenceRepor
     for si, size in enumerate(sizes):
         net = cfg.build_net(size_override=size)
         params = cfg.strain_params(net)
-        counts0 = MacroCounts.from_fractions(net, cfg.initial_fractions(net))
+        counts0 = cfg.initial_counts(net)
         trajectories = run_replications(
             counts0, net, params, cfg.t_end, cfg.seed, grid,
             range(si * reps, (si + 1) * reps), workers=cfg.workers,
         )
         fractions = np.stack([t.fractions() for t in trajectories])  # (R, T, M, K)
-        mean = fractions.mean(axis=0)
-        _, ode = meanfield_run(cfg, net, counts0.fractions(), grid)
-        deviation, (t_idx, i_idx, k_idx) = sup_deviation(mean, ode.states)
+        _, deviation, (t_idx, i_idx, k_idx) = mean_vs_ode(cfg, net, fractions, grid)
         stderr = float(
             fractions[:, t_idx, i_idx, k_idx].std(ddof=1) / np.sqrt(reps)
         ) if reps > 1 else 0.0
@@ -223,10 +216,14 @@ def run_converge(cfg: ExperimentConfig, out_dir: str | Path) -> ConvergenceRepor
 def run_compare(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     """Compare previously simulated replications in out_dir with the ODE.
 
-    Reads the simulate manifest, averages the replications, integrates the
-    limiting dynamics on the same grid, and reports sup-norm deviations.  A
-    `compare.max_deviation` config key makes the comparison pass/fail.
+    The run must have simulated the config's rates and island sizes.  Its
+    replications are averaged and compared in sup norm with the ODE on the
+    same grid (see `mean_vs_ode`).  A `compare.max_deviation` config key makes
+    the comparison pass/fail.
     """
+    section = cfg.raw.get("compare", {})
+    if not isinstance(section, dict):
+        raise ConfigError("compare", f"expected a mapping, got {section!r}")
     out = Path(out_dir)
     manifest_path = out / MANIFEST_NAME
     if not manifest_path.exists():
@@ -236,14 +233,13 @@ def run_compare(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     data = [d for d in data if d.kind == "micro"]
     if not data:
         raise ConfigError("out", "manifest lists no micro trajectory files")
-    grid = data[0].times
-    mean = np.stack([d.fractions for d in data]).mean(axis=0)
 
     net = cfg.build_net()
-    y0 = data[0].counts[0] / np.asarray(net.sizes, dtype=float)[:, None]
-    _, ode = meanfield_run(cfg, net, y0, grid)
-    deviation, _ = sup_deviation(mean, ode.states)
-    gap = np.abs(mean - ode.states)
+    if manifest.get("params_hash") != params_hash(cfg.strain_params(net)):
+        raise ConfigError("strains", f"the run in {out} simulated other rates than the config's")
+    if any(d.sizes != net.sizes for d in data):
+        raise ConfigError("sizes", f"the run in {out} simulated island sizes other than {net.sizes}")
+    gap, deviation, _ = mean_vs_ode(cfg, net, np.stack([d.fractions for d in data]), data[0].times)
     per_series = {
         f"island{i + 1}:strain{k + 1}": float(gap[:, i, k].max())
         for i in range(gap.shape[1])
@@ -254,7 +250,6 @@ def run_compare(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         "sup_deviation": deviation,
         "per_series_deviation": per_series,
     }
-    section = cfg.raw.get("compare", {})
     if "max_deviation" in section:
         limit = float(section["max_deviation"])
         report["max_deviation"] = limit

@@ -48,6 +48,11 @@ class TrajectoryData:
     def kind(self) -> str:
         return self.metadata.get("kind", "unknown")
 
+    @property
+    def sizes(self) -> tuple[int, ...]:
+        """Island sizes of a micro trajectory."""
+        return tuple(int(n) for n in self.metadata["sizes"].split())
+
 
 def _render(times, fractions, counts, metadata: dict) -> str:
     buf = io.StringIO()

@@ -26,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .micro import StrainParams
+from .micro import StrainParams, edge_rows
 from .topology import SuperNetwork
 
 
@@ -61,9 +61,8 @@ class MeanFieldParams:
     @classmethod
     def symmetric(cls, net: SuperNetwork, gammas: float | Sequence[float]) -> "MeanFieldParams":
         """Equal island sizes assumed; one uniform rate per strain."""
-        gseq = [float(g) for g in np.atleast_1d(gammas)]
-        w = np.repeat(np.array(gseq)[:, None], net.in_edges[0].size, axis=1)
-        return cls(net=net, num_strains=len(gseq), w=w)
+        w = StrainParams.uniform(net, [float(g) for g in np.atleast_1d(gammas)]).gamma
+        return cls(net=net, num_strains=len(w), w=w)
 
     @classmethod
     def from_micro(cls, net: SuperNetwork, params: StrainParams) -> "MeanFieldParams":
@@ -75,9 +74,8 @@ class MeanFieldParams:
             raise ValueError("healing rates must be normalized to 1 (rescale gamma and time)")
         params.validate_for(net)
         n = net.sizes
-        pairs = list(zip(*(a.tolist() for a in net.in_edges)))
-        w = [[params.gamma[(k, j + 1, i + 1)] * n[j] / n[i] for j, i in pairs]
-             for k in range(1, params.num_strains + 1)]
+        w = [[g * n[j - 1] / n[i - 1] for g, (j, i) in zip(row, net.in_edge_pairs)]
+             for row in params.gamma]
         return cls(net=net, num_strains=params.num_strains, w=w)
 
     @classmethod
@@ -85,13 +83,7 @@ class MeanFieldParams:
         cls, net: SuperNetwork, num_strains: int, gamma_eff: Mapping[tuple[int, int, int], float]
     ) -> "MeanFieldParams":
         """Directly supplied effective rates keyed (strain, source j, target i)."""
-        pairs = zip(*(a.tolist() for a in net.in_edges))
-        index = {(j + 1, i + 1): e for e, (j, i) in enumerate(pairs)}
-        w = np.zeros((num_strains, len(index)))
-        for (k, j, i), g in gamma_eff.items():
-            if (j, i) not in index or not 1 <= k <= num_strains:
-                raise ValueError(f"rate keyed {(k, j, i)} is off the island adjacency")
-            w[k - 1, index[(j, i)]] = g
+        w = edge_rows(net, gamma_eff, range(1, num_strains + 1))
         return cls(net=net, num_strains=num_strains, w=w)
 
     def pressure(self, y: np.ndarray) -> np.ndarray:

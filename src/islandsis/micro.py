@@ -19,6 +19,11 @@ where tot_i is the total number of infected nodes in island i.  Both a
 count-level simulator (`simulate`) and a full node-level one
 (`node_level_simulate`, used as a cross-check of the count reduction) are
 provided.  They induce the same law on count trajectories.
+
+Rates are stored as one row per strain over the directed island edges
+`SuperNetwork.in_edges`, the layout `meanfield` uses for its effective rates.
+A (strain, source, target)-keyed map exists only as input, turned into rows
+by :func:`edge_rows`.
 """
 
 from __future__ import annotations
@@ -45,27 +50,32 @@ class Event(NamedTuple):
 
 @dataclass(frozen=True)
 class StrainParams:
-    """Per-strain infection and healing rates.
+    """Per-strain infection and healing rates on one island network.
 
-    gamma maps (strain k, source island j, target island i) to the attempt
-    rate gamma_k(j, i) for every ordered adjacent pair; mu[k-1] is the healing
-    rate of strain k.  Two strains with identical (gamma, mu) profiles are
-    behaviorally indistinguishable.
+    gamma[k-1][e] is the attempt rate gamma_k(j, i) of strain k along the
+    directed edge (j, i) = net.in_edge_pairs[e], the layout of
+    `MeanFieldParams.w`; mu[k-1] is the healing rate of strain k.  Rates keep
+    their numeric type, so Fraction-valued rates stay exact.  Two strains with
+    identical (gamma, mu) profiles are behaviorally indistinguishable.
     """
 
-    num_strains: int
-    gamma: Mapping[tuple[int, int, int], float]
+    net: SuperNetwork
+    gamma: tuple[tuple[float, ...], ...]
     mu: tuple[float, ...]
 
     def __post_init__(self):
-        if self.num_strains < 1:
-            raise ValueError("need at least one strain")
-        if len(self.mu) != self.num_strains:
-            raise ValueError(f"expected {self.num_strains} healing rates, got {len(self.mu)}")
+        if not self.mu or len(self.gamma) != len(self.mu):
+            raise ValueError("need at least one strain, and one rate row per healing rate")
+        if any(len(row) != len(self.net.in_edge_pairs) for row in self.gamma):
+            raise ValueError("each strain needs one rate per directed island edge")
         if any(not m > 0 for m in self.mu):
             raise ValueError("healing rates must be strictly positive")
-        if any(not g > 0 for g in self.gamma.values()):
+        if any(not g > 0 for row in self.gamma for g in row):
             raise ValueError("infection rates must be strictly positive")
+
+    @property
+    def num_strains(self) -> int:
+        return len(self.mu)
 
     @classmethod
     def uniform(
@@ -81,28 +91,31 @@ class StrainParams:
             mseq = mseq * len(gseq)
         if len(gseq) != len(mseq):
             raise ValueError("gammas and mus must have matching strain counts")
-        # Rates keep their numeric type (Fraction-valued rates stay exact).
-        gamma = {}
-        for k, g in enumerate(gseq, start=1):
-            for a, b in net.edges:
-                gamma[(k, a, b)] = g
-                gamma[(k, b, a)] = g
-        return cls(num_strains=len(gseq), gamma=gamma, mu=tuple(mseq))
+        return cls(net, tuple((g,) * len(net.in_edge_pairs) for g in gseq), tuple(mseq))
 
     def validate_for(self, net: SuperNetwork) -> None:
-        """Check the rate map covers exactly the ordered adjacent pairs of net."""
-        want = set()
-        for k in range(1, self.num_strains + 1):
-            for a, b in net.edges:
-                want.add((k, a, b))
-                want.add((k, b, a))
-        have = set(self.gamma)
-        if have != want:
-            missing = sorted(want - have)[:3]
-            extra = sorted(have - want)[:3]
-            raise ValueError(
-                f"rate map does not match network adjacency (missing {missing}, extra {extra})"
-            )
+        """Check the rates were built for net."""
+        if self.net is not net and self.net != net:
+            raise ValueError("rates were built for a different island network")
+
+
+def edge_rows(
+    net: SuperNetwork, rates: Mapping[tuple[int, int, int], float], strains: Sequence[int]
+) -> tuple[tuple[float, ...], ...]:
+    """Rates keyed (strain k, source j, target i) as one row per k in strains over net.in_edges.
+
+    Raises ValueError on a key whose strain is not listed or whose (j, i) is
+    not a directed island edge, and on a listed strain and edge with no rate.
+    """
+    keys = {(k, j, i) for k in strains for j, i in net.in_edge_pairs}
+    for key in rates:
+        if key not in keys:
+            raise ValueError(f"rate keyed {key} is off the island adjacency")
+    try:
+        return tuple(tuple(rates[(k, j, i)] for j, i in net.in_edge_pairs) for k in strains)
+    except KeyError as exc:
+        raise ValueError(f"no rate keyed {exc.args[0]}; every directed island edge "
+                         "needs a strictly positive rate") from None
 
 
 def _per_strain(value) -> list:
@@ -130,10 +143,6 @@ class MacroCounts:
                 raise ValueError(f"negative count in {row}")
             if sum(row) > n:
                 raise ValueError(f"island holds {sum(row)} infected nodes but only {n} nodes")
-
-    @property
-    def num_islands(self) -> int:
-        return len(self.sizes)
 
     @property
     def num_strains(self) -> int:
@@ -201,34 +210,37 @@ def event_rates(counts: MacroCounts, net: SuperNetwork, params: StrainParams) ->
     Args:
         counts: current macrostate (validated against net).
         net: island network.
-        params: per-strain rates; gamma keys must cover net's adjacency.
+        params: per-strain rates built for net.
 
     Returns:
         EventRateTable listing every infect/heal event with positive rate.
 
     Raises:
-        ValueError: on island/strain dimension mismatch.
+        ValueError: on island/strain dimension mismatch, or params built for
+            another network.
     """
     if counts.sizes != net.sizes:
         raise ValueError("counts were built for a different island size vector")
     if counts.num_strains != params.num_strains:
         raise ValueError("counts and params disagree on the number of strains")
-    gamma = params.gamma
+    params.validate_for(net)
+    y = counts.y
     entries: list[tuple[Event, float]] = []
-    for i in range(1, net.num_islands + 1):
-        row = counts.y[i - 1]
+    stop = 0
+    # The edges into island i are the next len(sources) entries of each rate row.
+    for i, sources in enumerate(net.neighbors, start=1):
+        start, stop = stop, stop + len(sources)
+        row = y[i - 1]
         n_i = counts.sizes[i - 1]
         healthy = n_i - sum(row)
-        for k in range(1, params.num_strains + 1):
+        for k, rates in enumerate(params.gamma):
             if healthy > 0:
-                pressure = sum(
-                    gamma[(k, j, i)] * counts.y[j - 1][k - 1] for j in net.neighbors_of(i)
-                )
+                pressure = sum(g * y[j - 1][k] for g, j in zip(rates[start:stop], sources))
                 if pressure > 0:
-                    entries.append((Event(INFECT, i, k), pressure * healthy / n_i))
-            c = row[k - 1]
+                    entries.append((Event(INFECT, i, k + 1), pressure * healthy / n_i))
+            c = row[k]
             if c > 0:
-                entries.append((Event(HEAL, i, k), params.mu[k - 1] * c))
+                entries.append((Event(HEAL, i, k + 1), params.mu[k] * c))
     return EventRateTable(entries)
 
 
@@ -284,7 +296,6 @@ class MicroTrajectory:
     times: np.ndarray  # (T,)
     counts: np.ndarray  # (T, M, K) int64
     sizes: tuple[int, ...]
-    params: StrainParams
     seed: int
     rep: int
     n_events: int
@@ -297,6 +308,8 @@ class MicroTrajectory:
 
 
 def _prepare_grid(sample_grid, t_end: float) -> np.ndarray:
+    if not t_end > 0:
+        raise ValueError("t_end must be positive")
     grid = np.asarray(sample_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("sample grid must be a non-empty 1-d sequence of times")
@@ -331,8 +344,6 @@ def simulate(
         sample_grid: strictly increasing times in [0, t_end].
         rep: replication index mixed into the RNG key.
     """
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
     params.validate_for(net)
     grid = _prepare_grid(sample_grid, t_end)
     rng = replication_rng(seed, rep)
@@ -363,7 +374,6 @@ def simulate(
         times=grid,
         counts=sampled,
         sizes=net.sizes,
-        params=params,
         seed=seed,
         rep=rep,
         n_events=n_events,
@@ -387,8 +397,6 @@ def node_level_simulate(
     advance time but change nothing.  Only effective events (actual state
     changes) enter `event_totals`, making them comparable with `simulate`.
     """
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
     params.validate_for(net)
     grid = _prepare_grid(sample_grid, t_end)
     rng = replication_rng(seed, rep)
@@ -408,11 +416,11 @@ def node_level_simulate(
                 counts[i, s - 1] += 1
 
     # Per infected node: healing plus one attempt clock per neighbor island.
-    attempt = {
-        (k, u): [(v, params.gamma[(k, u, v)]) for v in net.neighbors_of(u)]
-        for k in range(1, kk + 1)
-        for u in range(1, m + 1)
-    }
+    # Targets ascend per source, since in_edges groups edges by ascending target.
+    attempt = {(k, u): [] for k in range(1, kk + 1) for u in range(1, m + 1)}
+    for k, rates in enumerate(params.gamma, start=1):
+        for (u, v), g in zip(net.in_edge_pairs, rates):
+            attempt[(k, u)].append((v, g))
 
     sampled = np.empty((grid.size, m, kk), dtype=np.int64)
     gi = 0
@@ -472,7 +480,6 @@ def node_level_simulate(
         times=grid,
         counts=sampled,
         sizes=net.sizes,
-        params=params,
         seed=seed,
         rep=rep,
         n_events=n_events,

@@ -45,10 +45,6 @@ class SuperNetwork:
             adj[b - 1].append(a)
         return tuple(tuple(sorted(n)) for n in adj)
 
-    def neighbors_of(self, i: int) -> tuple[int, ...]:
-        _check_island(self, i)
-        return self.neighbors[i - 1]
-
     @cached_property
     def degenerate(self) -> bool:
         """True when some island has no neighbor at all."""
@@ -76,11 +72,15 @@ class SuperNetwork:
         island 1 come first, then those into island 2, and so on; within a
         group the sources ascend.  Both arrays are read-only.
         """
-        src = np.array([j - 1 for nbrs in self.neighbors for j in nbrs], dtype=np.intp)
-        dst = np.repeat(np.arange(self.num_islands), [len(n) for n in self.neighbors])
+        src, dst = np.array(self.in_edge_pairs, dtype=np.intp).reshape(-1, 2).T - 1
         for a in (src, dst):
             a.setflags(write=False)
         return src, dst
+
+    @cached_property
+    def in_edge_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The directed edges of in_edges, in the same order, as 1-based (source, target) labels."""
+        return tuple((j, i) for i, nbrs in enumerate(self.neighbors, start=1) for j in nbrs)
 
     @cached_property
     def in_edge_groups(self) -> tuple[np.ndarray, np.ndarray]:

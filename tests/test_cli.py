@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
 
 import islandsis
@@ -45,6 +46,34 @@ def test_compare_failure_exit_code(tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", str(cfg), "--out", str(out)]) == 0
     assert main(["compare", str(cfg), "--out", str(out)]) == 1
+
+
+def test_compare_starts_the_ode_from_the_initial_counts(tmp_path, capsys):
+    # The grid need not contain t=0: without it the deviation is the same as with it
+    deviations = []
+    for name, grid in (("with_zero", [0, 1.5, 3]), ("without_zero", [1.5, 3])):
+        cfg = write_cfg(tmp_path, name=f"{name}.yaml", sizes=2000, replications=4, t_end=3.0,
+                        grid=grid, initial={"kind": "uniform", "fraction": 0.05})
+        out = tmp_path / name
+        assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+        assert main(["compare", str(cfg), "--out", str(out)]) == 0
+        deviations.append(json.loads((out / "compare_report.json").read_text())["sup_deviation"])
+    assert deviations[1] == deviations[0] < 0.02
+
+
+def test_compare_refuses_a_run_of_another_model(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(["simulate", str(write_cfg(tmp_path, sizes=200)), "--out", str(out)]) == 0
+    capsys.readouterr()
+    for name, overrides, field in (
+        ("rates", {"sizes": 200, "strains": [{"gamma": 0.5, "mu": 1.0}]}, "strains"),
+        ("sizes", {"sizes": 50}, "sizes"),
+    ):
+        cfg = write_cfg(tmp_path, name=f"{name}.yaml", **overrides)
+        assert main(["compare", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"config error: {field}: "), err
+    assert not (out / "compare_report.json").exists()
 
 
 def test_meanfield_and_plotdata(tmp_path, capsys):
@@ -157,6 +186,50 @@ def test_config_error_exit_codes(tmp_path, capsys):
 
     unknown_suite = write_cfg(tmp_path, name="us.yaml", suite="bogus")
     assert main(["suite", str(unknown_suite)]) == 2
+
+
+@pytest.mark.parametrize("command, overrides, field", [
+    ("meanfield", {"strains": [2.0]}, "strains[0]"),
+    ("classify", {"strains": [2.0]}, "strains[0]"),
+    ("meanfield", {"strains": [{"gamma": 2.0, "mu": "fast"}]}, "strains[0].mu"),
+    ("simulate", {"initial": {"kind": "uniform", "fraction": {"a": 1}}}, "initial.fraction"),
+    ("simulate", {"topology": {"generator": "custom", "edges": [1, 2]}, "sizes": [3, 3]},
+     "topology.edges[0]"),
+    ("compare", {"compare": 5}, "compare"),
+], ids=["strain-not-mapping-meanfield", "strain-not-mapping-classify", "mu-not-number",
+        "fraction-not-number", "edge-not-pair", "compare-not-mapping"])
+def test_wrong_type_exits_2_naming_the_field(tmp_path, capsys, command, overrides, field):
+    cfg = write_cfg(tmp_path, **overrides)
+    assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {field}: "), err
+
+
+# A two-strain run with unequal island sizes, one strain given per ordered
+# pair and one uniform, and mu != 1, as written before the micro rates moved
+# from a (k, j, i) dict to rows over the directed island edges.
+PINNED_SIMULATE = {
+    "topology": {"generator": "bipartite"},
+    "sizes": [40, 25],
+    "strains": [{"gamma": {"1->2": 2.5, "2->1": 1.5}, "mu": 1.3}, {"gamma": 1.75, "mu": 1.3}],
+    "initial": {"kind": "uniform", "fraction": [0.1, 0.15]},
+    "t_end": 4.0,
+    "grid": 9,
+    "replications": 1,
+    "seed": 17,
+}
+PINNED_TRAJ_SHA256 = "638c403b6f300a8d53709934c2ee03218d50c3239ed5faa80498d9c25b02a9d5"
+PINNED_PARAMS_HASH = "40b5d97345553f52d99d1abb65b2c852e8d6caf027628cc5447024d00458f03d"
+
+
+def test_simulate_bytes_and_params_hash_are_pinned(tmp_path, capsys):
+    path = tmp_path / "pin.yaml"
+    path.write_text(yaml.safe_dump(PINNED_SIMULATE))
+    out = tmp_path / "run"
+    assert main(["simulate", str(path), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["params_hash"] == PINNED_PARAMS_HASH
+    assert hashlib.sha256((out / "traj_rep0000.csv").read_bytes()).hexdigest() == PINNED_TRAJ_SHA256
 
 
 def test_seed_override_changes_bytes(tmp_path):

@@ -114,7 +114,11 @@ def test_from_micro_matches_size_scaled_oracle(name):
     micro = StrainParams.uniform(net, (1.3, 0.6))
     params = MeanFieldParams.from_micro(net, micro)
     n = net.sizes
-    rates = {(k, j, i): g * n[j - 1] / n[i - 1] for (k, j, i), g in micro.gamma.items()}
+    rates = {
+        (k, j, i): g * n[j - 1] / n[i - 1]
+        for k, row in enumerate(micro.gamma, start=1)
+        for (j, i), g in zip(net.in_edge_pairs, row)
+    }
     assert np.array_equal(params.w, np.stack([
         [rates[(k, j + 1, i + 1)] for j, i in zip(*(a.tolist() for a in net.in_edges))]
         for k in (1, 2)

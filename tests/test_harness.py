@@ -71,8 +71,9 @@ class TestConfig:
         cfg = cfg_with(strains=[{"gamma": {"1->2": 2.0, "2->1": 3.0}}])
         net = cfg.build_net()
         params = cfg.strain_params(net)
-        assert params.gamma[(1, 1, 2)] == 2.0
-        assert params.gamma[(1, 2, 1)] == 3.0
+        rate = dict(zip(net.in_edge_pairs, params.gamma[0]))
+        assert rate[(1, 2)] == 2.0
+        assert rate[(2, 1)] == 3.0
 
     def test_incomplete_pair_map_rejected(self):
         cfg = cfg_with(strains=[{"gamma": {"1->2": 2.0}}])

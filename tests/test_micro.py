@@ -240,3 +240,23 @@ def test_replication_rng_streams_are_stable():
     assert not np.array_equal(a, c)
     with pytest.raises(ValueError):
         replication_rng(-1)
+
+
+def test_params_refuse_another_network_of_the_same_shape():
+    # Same sizes and edge count, so the rate rows have the right length for both
+    built_for = build_supernetwork([2, 2, 2, 2], [(1, 2), (3, 4)])
+    other = build_supernetwork([2, 2, 2, 2], [(1, 3), (2, 4)])
+    params = StrainParams.uniform(built_for, 1.5)
+    counts = MacroCounts(((1,), (0,), (1,), (0,)), other.sizes)
+    grid = [0.0, 1.0]
+    with pytest.raises(ValueError, match="different island network"):
+        event_rates(counts, other, params)
+    with pytest.raises(ValueError, match="different island network"):
+        simulate(counts, other, params, 1.0, 0, grid)
+    with pytest.raises(ValueError, match="different island network"):
+        node_level_simulate(other, params, [[1, 0], [0, 0], [1, 0], [0, 0]], 1.0, 0, grid)
+    with pytest.raises(ValueError, match="different island network"):
+        MeanFieldParams.from_micro(other, params)
+    # an equal network built separately is accepted
+    twin = build_supernetwork([2, 2, 2, 2], [(2, 1), (4, 3)])
+    assert event_rates(counts, twin, params).total == event_rates(counts, built_for, params).total
