@@ -37,7 +37,6 @@ from .micro import (
     MicroTrajectory,
     StrainParams,
     event_rates,
-    gillespie_step,
     node_level_simulate,
     replication_rng,
     simulate,

@@ -300,9 +300,12 @@ class ExperimentConfig:
             y0 = np.tile(np.asarray(row), (m, 1))
         elif kind == "matrix":
             values = _need(section, "values", "initial")
-            y0 = np.asarray(values, dtype=float)
-            if y0.shape != (m, kk):
-                raise ConfigError("initial.values", f"expected shape ({m}, {kk}), got {y0.shape}")
+            if (not isinstance(values, list) or len(values) != m
+                    or any(not isinstance(row, list) or len(row) != kk for row in values)):
+                raise ConfigError("initial.values",
+                                  f"expected {m} rows of {kk} fractions, got {values!r}")
+            y0 = np.array([[_as_number(f, f"initial.values[{i}][{k}]") for k, f in enumerate(row)]
+                           for i, row in enumerate(values)])
         elif kind == "single_island":
             island = _as_positive_int(_need(section, "island", "initial"), "initial.island")
             strain = _as_positive_int(section.get("strain", 1), "initial.strain")

@@ -101,6 +101,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     return _write_run_manifest(
         out / MANIFEST_NAME, cfg, "simulate", files, params_hash=phash,
         rng_algorithm=RNG_ALGORITHM, replications=cfg.replications, integrator=None,
+        initial_counts=[list(row) for row in counts0.y],
     )
 
 
@@ -216,7 +217,8 @@ def run_converge(cfg: ExperimentConfig, out_dir: str | Path) -> ConvergenceRepor
 def run_compare(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     """Compare previously simulated replications in out_dir with the ODE.
 
-    The run must have simulated the config's rates and island sizes.  Its
+    The run must have simulated the config's rates and island sizes from the
+    config's initial counts, as its manifest records them.  Its
     replications are averaged and compared in sup norm with the ODE on the
     same grid (see `mean_vs_ode`).  A `compare.max_deviation` config key makes
     the comparison pass/fail.
@@ -239,6 +241,8 @@ def run_compare(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         raise ConfigError("strains", f"the run in {out} simulated other rates than the config's")
     if any(d.sizes != net.sizes for d in data):
         raise ConfigError("sizes", f"the run in {out} simulated island sizes other than {net.sizes}")
+    if manifest.get("initial_counts") != [list(row) for row in cfg.initial_counts(net).y]:
+        raise ConfigError("initial", f"the run in {out} started from other counts than the config's")
     gap, deviation, _ = mean_vs_ode(cfg, net, np.stack([d.fractions for d in data]), data[0].times)
     per_series = {
         f"island{i + 1}:strain{k + 1}": float(gap[:, i, k].max())

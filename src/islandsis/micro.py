@@ -20,6 +20,10 @@ count-level simulator (`simulate`) and a full node-level one
 (`node_level_simulate`, used as a cross-check of the count reduction) are
 provided.  They induce the same law on count trajectories.
 
+`event_rates` is the exact (Fraction-valued) specification of the chain;
+`simulate` is one event loop that steps plain per-island counts in place on
+the same rate formula, checking its inputs once.
+
 Rates are stored as one row per strain over the directed island edges
 `SuperNetwork.in_edges`, the layout `meanfield` uses for its effective rates.
 A (strain, source, target)-keyed map exists only as input, turned into rows
@@ -176,11 +180,8 @@ class MacroCounts:
             rows.append(tuple(row))
         return cls(tuple(rows), net.sizes)
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.y, dtype=np.int64)
-
     def fractions(self) -> np.ndarray:
-        return self.as_array() / np.asarray(self.sizes, dtype=float)[:, None]
+        return np.array(self.y, dtype=float) / np.asarray(self.sizes, dtype=float)[:, None]
 
 
 @dataclass
@@ -204,6 +205,42 @@ class EventRateTable:
         return 0
 
 
+def _in_edge_groups(net: SuperNetwork, gamma) -> list:
+    """Per island: its 0-based in-edge sources, and per strain the rates along those edges."""
+    groups, stop = [], 0
+    for sources in net.neighbors:
+        start, stop = stop, stop + len(sources)
+        groups.append((tuple(j - 1 for j in sources), tuple(rates[start:stop] for rates in gamma)))
+    return groups
+
+
+def _events(y, sizes, groups, mu) -> list:
+    """(island, strain, +1 infect | -1 heal, rate) for each event with positive rate at counts y.
+
+    The one copy of the rate formula.  Islands and strains are 0-based, in
+    table order: by island, then by strain, infection before healing.
+    """
+    events = []
+    for i, ((sources, strain_rates), row, n_i) in enumerate(zip(groups, y, sizes)):
+        healthy = n_i - sum(row)
+        for k, rates in enumerate(strain_rates):
+            if healthy > 0:
+                pressure = sum(g * y[j][k] for g, j in zip(rates, sources))
+                if pressure > 0:
+                    events.append((i, k, 1, pressure * healthy / n_i))
+            c = row[k]
+            if c > 0:
+                events.append((i, k, -1, mu[k] * c))
+    return events
+
+
+def _check_counts(counts: MacroCounts, net: SuperNetwork, params: StrainParams) -> None:
+    if counts.sizes != net.sizes:
+        raise ValueError("counts were built for a different island size vector")
+    if counts.num_strains != params.num_strains:
+        raise ValueError("counts and params disagree on the number of strains")
+
+
 def event_rates(counts: MacroCounts, net: SuperNetwork, params: StrainParams) -> EventRateTable:
     """Rate table of the count-level Markov chain at `counts`.
 
@@ -219,29 +256,11 @@ def event_rates(counts: MacroCounts, net: SuperNetwork, params: StrainParams) ->
         ValueError: on island/strain dimension mismatch, or params built for
             another network.
     """
-    if counts.sizes != net.sizes:
-        raise ValueError("counts were built for a different island size vector")
-    if counts.num_strains != params.num_strains:
-        raise ValueError("counts and params disagree on the number of strains")
+    _check_counts(counts, net, params)
     params.validate_for(net)
-    y = counts.y
-    entries: list[tuple[Event, float]] = []
-    stop = 0
-    # The edges into island i are the next len(sources) entries of each rate row.
-    for i, sources in enumerate(net.neighbors, start=1):
-        start, stop = stop, stop + len(sources)
-        row = y[i - 1]
-        n_i = counts.sizes[i - 1]
-        healthy = n_i - sum(row)
-        for k, rates in enumerate(params.gamma):
-            if healthy > 0:
-                pressure = sum(g * y[j - 1][k] for g, j in zip(rates[start:stop], sources))
-                if pressure > 0:
-                    entries.append((Event(INFECT, i, k + 1), pressure * healthy / n_i))
-            c = row[k]
-            if c > 0:
-                entries.append((Event(HEAL, i, k + 1), params.mu[k] * c))
-    return EventRateTable(entries)
+    events = _events(counts.y, counts.sizes, _in_edge_groups(net, params.gamma), params.mu)
+    return EventRateTable([(Event(INFECT if d > 0 else HEAL, i + 1, k + 1), r)
+                           for i, k, d, r in events])
 
 
 def replication_rng(master_seed: int, rep: int = 0) -> np.random.Generator:
@@ -255,38 +274,6 @@ def replication_rng(master_seed: int, rep: int = 0) -> np.random.Generator:
         raise ValueError("seed and replication index must be non-negative")
     key = (master_seed & 0xFFFFFFFFFFFFFFFF) | (rep << 64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def gillespie_step(
-    counts: MacroCounts,
-    net: SuperNetwork,
-    params: StrainParams,
-    rng: np.random.Generator,
-) -> tuple[Event | None, float, MacroCounts]:
-    """One exact jump of the count-level chain.
-
-    Returns (event, waiting_time, new_counts); (None, inf, counts) from an
-    absorbing state (no infected nodes anywhere).
-    """
-    table = event_rates(counts, net, params)
-    total = float(table.total)
-    if total <= 0.0:
-        return None, math.inf, counts
-    wait = rng.exponential(1.0 / total)
-    u = rng.random() * total
-    acc = 0.0
-    chosen = table.entries[-1][0]
-    for ev, r in table.entries:
-        acc += float(r)
-        if u < acc:
-            chosen = ev
-            break
-    delta = 1 if chosen.kind == INFECT else -1
-    rows = list(counts.y)
-    row = list(rows[chosen.island - 1])
-    row[chosen.strain - 1] += delta
-    rows[chosen.island - 1] = tuple(row)
-    return chosen, wait, MacroCounts(tuple(rows), counts.sizes)
 
 
 @dataclass
@@ -346,30 +333,40 @@ def simulate(
     """
     params.validate_for(net)
     grid = _prepare_grid(sample_grid, t_end)
+    _check_counts(counts0, net, params)
     rng = replication_rng(seed, rep)
 
+    groups = _in_edge_groups(net, params.gamma)
+    y = [list(row) for row in counts0.y]  # stepped in place; an event fires only if it fits
+    times = grid.tolist()
     sampled = np.empty((grid.size, net.num_islands, params.num_strains), dtype=np.int64)
     gi = 0
     t = 0.0
-    counts = counts0
     n_events = 0
-    totals: dict[tuple[str, int, int], int] = {}
+    totals: dict[tuple[int, int, int], int] = {}
     while True:
-        ev, wait, nxt = gillespie_step(counts, net, params, rng)
-        t_next = t + wait
-        while gi < grid.size and grid[gi] < t_next:
-            sampled[gi] = counts.as_array()
+        events = _events(y, net.sizes, groups, params.mu)
+        total = float(sum(r for *_, r in events))
+        t_next = t + rng.exponential(1.0 / total) if total > 0.0 else math.inf
+        while gi < grid.size and times[gi] < t_next:
+            sampled[gi] = y
             gi += 1
-        if ev is None or t_next > t_end:
+        if t_next > t_end:
             break
+        u = rng.random() * total
+        acc = 0.0
+        chosen = events[-1]
+        for ev in events:
+            acc += float(ev[3])
+            if u < acc:
+                chosen = ev
+                break
+        i, k, delta, _ = chosen
+        y[i][k] += delta
         t = t_next
-        counts = nxt
         n_events += 1
-        key = (ev.kind, ev.island, ev.strain)
-        totals[key] = totals.get(key, 0) + 1
-    while gi < grid.size:
-        sampled[gi] = counts.as_array()
-        gi += 1
+        totals[chosen[:3]] = totals.get(chosen[:3], 0) + 1
+    # the last wait ran past t_end (or is infinite), so every grid time has its sample
     return MicroTrajectory(
         times=grid,
         counts=sampled,
@@ -377,7 +374,8 @@ def simulate(
         seed=seed,
         rep=rep,
         n_events=n_events,
-        event_totals=totals,
+        event_totals={(INFECT if d > 0 else HEAL, i + 1, k + 1): n
+                      for (i, k, d), n in totals.items()},
     )
 
 

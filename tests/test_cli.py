@@ -76,6 +76,26 @@ def test_compare_refuses_a_run_of_another_model(tmp_path, capsys):
     assert not (out / "compare_report.json").exists()
 
 
+def test_compare_refuses_a_run_from_other_initial_counts(tmp_path, capsys):
+    grid_cfg = dict(sizes=200, replications=4, t_end=3.0, grid=[1.5, 3])
+    out = tmp_path / "run"
+    cfg = write_cfg(tmp_path, initial={"kind": "uniform", "fraction": 0.05}, **grid_cfg)
+    assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["initial_counts"] == [[10], [10]]
+    capsys.readouterr()
+    other = write_cfg(tmp_path, name="other.yaml", initial={"kind": "uniform", "fraction": 0.4},
+                      **grid_cfg)
+    assert main(["compare", str(other), "--out", str(out)]) == 2
+    # a manifest that does not record its initial counts is refused too
+    del manifest["initial_counts"]
+    (out / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["compare", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("config error: initial: ") for line in err), err
+    assert not (out / "compare_report.json").exists()
+
+
 def test_meanfield_and_plotdata(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "mf"
@@ -196,8 +216,11 @@ def test_config_error_exit_codes(tmp_path, capsys):
     ("simulate", {"topology": {"generator": "custom", "edges": [1, 2]}, "sizes": [3, 3]},
      "topology.edges[0]"),
     ("compare", {"compare": 5}, "compare"),
+    ("meanfield", {"initial": {"kind": "matrix", "values": {"a": 1}}}, "initial.values"),
+    ("meanfield", {"initial": {"kind": "matrix", "values": [[0.1], ["x"]]}}, "initial.values[1][0]"),
 ], ids=["strain-not-mapping-meanfield", "strain-not-mapping-classify", "mu-not-number",
-        "fraction-not-number", "edge-not-pair", "compare-not-mapping"])
+        "fraction-not-number", "edge-not-pair", "compare-not-mapping", "values-not-rows",
+        "value-not-number"])
 def test_wrong_type_exits_2_naming_the_field(tmp_path, capsys, command, overrides, field):
     cfg = write_cfg(tmp_path, **overrides)
     assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2

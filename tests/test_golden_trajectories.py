@@ -1,0 +1,91 @@
+"""Golden hashes of count-level trajectories, so a change of the random stream fails loudly.
+
+Each hash covers the sampled counts, the number of events and the per-event
+totals of one `simulate` call.  The values were recorded before the event loop
+was rewritten to step plain counts in place; a refactor of `simulate` must
+reproduce them bit for bit.  A deliberate stream change must update them and
+document the change.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from islandsis.micro import MacroCounts, StrainParams, edge_rows, simulate
+from islandsis.topology import bipartite_supernetwork, build_supernetwork, cycle_supernetwork
+
+
+def trajectory_digest(traj) -> str:
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(traj.counts, dtype="<i8").tobytes())
+    h.update(repr(traj.n_events).encode())
+    h.update(repr(sorted(traj.event_totals.items())).encode())
+    return h.hexdigest()
+
+
+def _c9_shape(rep):
+    # C9: bipartite 3+3, gamma 2, mu 1, one infected node, t = 2
+    net = bipartite_supernetwork(3, 3)
+    return simulate(MacroCounts(((1,), (0,)), (3, 3)), net, StrainParams.uniform(net, 2.0, 1.0),
+                    2.0, 11, [0.0, 2.0], rep=rep)
+
+
+def _converge_shape():
+    # C8's largest size: bipartite 1600+1600, gamma 2, 10% infected, grid of 21 over t = 10
+    net = bipartite_supernetwork(1600, 1600)
+    counts0 = MacroCounts.from_fractions(net, [[0.1], [0.1]])
+    return simulate(counts0, net, StrainParams.uniform(net, 2.0, 1.0), 10.0, 2025,
+                    np.linspace(0.0, 10.0, 21), rep=0)
+
+
+def _path_two_strains():
+    # unequal sizes and a distinct rate on every directed edge and strain
+    net = build_supernetwork([2, 3, 2, 5], [(1, 2), (2, 3), (3, 4)])
+    rates = {}
+    for k in (1, 2):
+        for e, (j, i) in enumerate(net.in_edge_pairs):
+            rates[(k, j, i)] = 0.6 + 0.35 * e + 0.5 * k
+    params = StrainParams(net, edge_rows(net, rates, (1, 2)), (1.0, 1.3))
+    counts0 = MacroCounts(((1, 0), (0, 1), (1, 1), (0, 2)), net.sizes)
+    return simulate(counts0, net, params, 6.0, 7, np.linspace(0.0, 6.0, 13), rep=2)
+
+
+def _cycle_two_strains():
+    net = cycle_supernetwork(8, 40)
+    params = StrainParams.uniform(net, (1.8, 1.4), (1.0, 1.0))
+    counts0 = MacroCounts(tuple((4, 2) if i % 2 else (1, 5) for i in range(8)), net.sizes)
+    return simulate(counts0, net, params, 3.0, 99, np.linspace(0.0, 3.0, 7), rep=1)
+
+
+GOLDEN = {
+    **{f"c9-rep{rep}": (lambda rep=rep: _c9_shape(rep)) for rep in range(10)},
+    "converge-1600": _converge_shape,
+    "path-2325-k2": _path_two_strains,
+    "cycle8x40-k2": _cycle_two_strains,
+}
+
+GOLDEN_SHA256 = {
+    "c9-rep0": "56ac6c0b0c0ff9570ccc518a544a2eff922c00d521230c5ad1c14a5e5caa4822",
+    "c9-rep1": "639ccdac6d343a24e3a86a72e83db421a6c1e4552652b1f726d62b74a136a8a9",
+    "c9-rep2": "2d9da54ae8a1e00dd2d4c6866333304de478925fe7a05e053a80e1543a3c9087",
+    "c9-rep3": "66b50a8fc16364522accf811addd31c2a69b5c47e8994a325630946d2265dadc",
+    "c9-rep4": "9b0224b4ac6f1802fc7d69d24cf18b3bcbe479ac9277cf2cea617b7aca32b4b5",
+    "c9-rep5": "1225918cbde11f02478b41fc68b8f7cc286615218f97dd33f32303763a638880",
+    "c9-rep6": "e6bf717aa64249b74568bc2649d1b1a1a782d7e83b53ad45cdafacc4258c956a",
+    "c9-rep7": "2d9da54ae8a1e00dd2d4c6866333304de478925fe7a05e053a80e1543a3c9087",
+    "c9-rep8": "2d9da54ae8a1e00dd2d4c6866333304de478925fe7a05e053a80e1543a3c9087",
+    "c9-rep9": "2d9da54ae8a1e00dd2d4c6866333304de478925fe7a05e053a80e1543a3c9087",
+    "converge-1600": "5504d4005863670b3532015b96f046f2bcb3349dd6c32b093fc87c9fc4e54148",
+    "cycle8x40-k2": "13f305e874310277e50758fa4452a3265133723d035cdf6a1be595387218e11c",
+    "path-2325-k2": "89ed00839eb2a5732f1cb9726cfa55152dcea32e8c034ff551d9ee32a03e4286",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_trajectory_matches_golden_hash(name):
+    digest = trajectory_digest(GOLDEN[name]())
+    assert digest == GOLDEN_SHA256[name], (
+        f"{name}: trajectory digest {digest} differs from the pinned one; "
+        "a change of the random stream must be deliberate and documented"
+    )

@@ -10,7 +10,6 @@ from islandsis.micro import (
     MacroCounts,
     StrainParams,
     event_rates,
-    gillespie_step,
     node_level_simulate,
     replication_rng,
     simulate,
@@ -95,53 +94,6 @@ class TestMacroCounts:
             MacroCounts.from_fractions(BIP33, [[0.7, 0.7], [0.0, 0.0]])
 
 
-class TestGillespieStep:
-    def test_absorbing_state(self):
-        ev, wait, counts = gillespie_step(
-            MacroCounts.zeros(BIP33, 1), BIP33, unit_rates(), replication_rng(0)
-        )
-        assert ev is None and wait == np.inf
-        assert counts.y == ((0,), (0,))
-
-    def test_single_possible_event(self):
-        # From Y = (0, 3) with negligible healing the only move is Infect(1).
-        params = StrainParams.uniform(BIP33, 1.0, 1e-12)
-        rng = replication_rng(3)
-        for _ in range(200):
-            ev, _, counts = gillespie_step(MacroCounts(((0,), (3,)), (3, 3)), BIP33, params, rng)
-            assert ev == (INFECT, 1, 1)
-            assert counts.y == ((1,), (3,))
-
-    def test_heal_probability(self):
-        # Y=(1,2), gamma=3, mu=1: infect rates (4, 1), heal rates (1, 2);
-        # P(first event heals) = 3/8.  Frequency over 1e5 draws within 3 sigma.
-        params = StrainParams.uniform(BIP33, 3.0, 1.0)
-        start = MacroCounts(((1,), (2,)), (3, 3))
-        rng = replication_rng(2024)
-        n = 100_000
-        heals = sum(
-            1 for _ in range(n) if gillespie_step(start, BIP33, params, rng)[0].kind == HEAL
-        )
-        p = 3 / 8
-        sigma = (p * (1 - p) / n) ** 0.5
-        assert abs(heals / n - p) < 3 * sigma
-
-    def test_steps_change_one_cell_by_one(self):
-        net = build_supernetwork([2, 3, 2], [(1, 2), (2, 3)])
-        params = StrainParams.uniform(net, (1.5, 0.7), (1.0, 1.3))
-        counts = MacroCounts(((1, 0), (0, 1), (1, 1)), (2, 3, 2))
-        rng = replication_rng(11)
-        for _ in range(300):
-            ev, _, nxt = gillespie_step(counts, net, params, rng)
-            if ev is None:
-                break
-            delta = nxt.as_array() - counts.as_array()
-            assert np.abs(delta).sum() == 1
-            assert delta[ev.island - 1, ev.strain - 1] == (1 if ev.kind == INFECT else -1)
-            # local exclusion is re-validated by the MacroCounts constructor
-            counts = nxt
-
-
 class TestSimulate:
     def test_zero_initial_stays_zero(self):
         traj = simulate(
@@ -182,6 +134,24 @@ class TestSimulate:
         ode = integrate(MeanFieldParams.symmetric(net, 2.0), np.full((2, 1), 0.5), 10.0)
         assert np.abs(traj.fractions()[-1] - ode.final).max() < 0.05
 
+    def test_event_bookkeeping_on_a_two_strain_path(self):
+        # Counts move only by the recorded events, and never leave [0, N]
+        net = build_supernetwork([2, 3, 2], [(1, 2), (2, 3)])
+        params = StrainParams.uniform(net, (1.5, 0.7), (1.0, 1.3))
+        counts0 = MacroCounts(((1, 0), (0, 1), (1, 1)), (2, 3, 2))
+        for rep in range(5):
+            traj = simulate(counts0, net, params, 4.0, 11, np.linspace(0, 4, 17), rep=rep)
+            assert traj.n_events > 0
+            assert traj.n_events == sum(traj.event_totals.values())
+            for i in range(3):
+                for k in range(2):
+                    moved = traj.counts[-1, i, k] - counts0.y[i][k]
+                    infections = traj.event_totals.get((INFECT, i + 1, k + 1), 0)
+                    heals = traj.event_totals.get((HEAL, i + 1, k + 1), 0)
+                    assert moved == infections - heals
+            assert traj.counts.min() >= 0
+            assert np.all(traj.counts.sum(axis=2) <= np.asarray(net.sizes))
+
 
 class TestNodeLevel:
     def test_all_healthy_stays_zero(self):
@@ -189,14 +159,6 @@ class TestNodeLevel:
             BIP33, unit_rates(), [[0, 0, 0], [0, 0, 0]], 3.0, 0, [0.0, 3.0]
         )
         assert traj.counts.sum() == 0
-
-    def test_without_healing_counts_never_drop(self):
-        params = StrainParams.uniform(BIP33, 2.0, 1e-12)
-        traj = node_level_simulate(
-            BIP33, params, [[1, 0, 0], [0, 0, 0]], 6.0, 8, np.linspace(0, 6, 25)
-        )
-        totals = traj.counts.sum(axis=(1, 2))
-        assert np.all(np.diff(totals) >= 0)
 
     def test_initial_state_validation(self):
         with pytest.raises(ValueError):
@@ -230,6 +192,20 @@ class TestNodeLevel:
             count_frac.var(axis=0, ddof=1) / reps + node_frac.var(axis=0, ddof=1) / reps
         )
         assert np.all(gap <= 3 * se + 1e-12)
+
+
+@pytest.mark.parametrize("simulator", ["count", "node"])
+def test_without_healing_counts_never_drop(simulator):
+    # With negligible healing the only events that fire are infections
+    params = StrainParams.uniform(BIP33, 2.0, 1e-12)
+    grid = np.linspace(0, 6, 25)
+    if simulator == "count":
+        traj = simulate(MacroCounts(((1,), (0,)), (3, 3)), BIP33, params, 6.0, 8, grid)
+    else:
+        traj = node_level_simulate(BIP33, params, [[1, 0, 0], [0, 0, 0]], 6.0, 8, grid)
+    totals = traj.counts.sum(axis=(1, 2))
+    assert np.all(np.diff(totals) >= 0)
+    assert traj.n_events > 0 and {kind for kind, _, _ in traj.event_totals} == {INFECT}
 
 
 def test_replication_rng_streams_are_stable():
