@@ -31,8 +31,6 @@ from .meanfield import (
     rhs,
 )
 from .micro import (
-    Event,
-    EventRateTable,
     MacroCounts,
     MicroTrajectory,
     StrainParams,

@@ -7,8 +7,10 @@ are the subcommand and the config path; everything else lives in the config
 file.  --seed and --out override the config; the ISLANDSIS_OUT environment
 variable overrides the config's output directory (but not --out).
 
-Exit status: 0 on success, 1 when a requested check fails, 2 on a config or
-hypothesis error or when the ODE integration fails.
+Exit status: 0 on success, 1 when a requested check fails, 2 on bad input
+(ConfigError: the config, the run directory or the plotdata inputs), an unmet
+hypothesis or a failed ODE integration.  Any other exception is a bug and
+surfaces as one.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 from ..analysis import UnmetHypothesisError, classify_multi, classify_single, taylor_coefficients
 from ..meanfield import IntegrationError
-from ..topology import is_regular, superdegree
+from ..topology import superdegree
 from .config import ConfigError, ExperimentConfig
 from .experiments import run_compare, run_converge, run_meanfield, run_simulate
 from .suites import run_theorem_suite
@@ -31,7 +33,7 @@ ENV_OUT = "ISLANDSIS_OUT"
 
 
 def _resolve_out(cfg: ExperimentConfig, flag: str | None) -> Path:
-    return Path(flag or os.environ.get(ENV_OUT) or cfg.raw.get("out", "out"))
+    return Path(flag or os.environ.get(ENV_OUT) or cfg.out)
 
 
 def _emit(payload: dict) -> None:
@@ -66,8 +68,6 @@ def _cmd_classify(cfg: ExperimentConfig, out: Path) -> int:
     if not params.is_symmetric_configuration:
         raise ConfigError("strains", "classification needs a symmetric configuration "
                                       "(equal sizes, one uniform rate per strain)")
-    if not is_regular(net):
-        raise UnmetHypothesisError("supernetwork is not regular")
     gammas = [params.uniform_rate(k) for k in range(1, params.num_strains + 1)]
     if len(gammas) == 1:
         result = classify_single(net, gammas[0])
@@ -82,10 +82,7 @@ def _cmd_taylor(cfg: ExperimentConfig, out: Path) -> int:
     net = cfg.build_net()
     params = cfg.meanfield_params(net)
     y0 = cfg.initial_fractions(net)
-    order = cfg.raw.get("taylor_order", 6)
-    if not isinstance(order, int) or isinstance(order, bool):
-        raise ConfigError("taylor_order", f"expected an integer, got {order!r}")
-    table = taylor_coefficients(params, y0, order)
+    table = taylor_coefficients(params, y0, cfg.taylor_order)
     payload = {
         "n_max": table.n_max,
         "coefficients": {
@@ -112,21 +109,13 @@ def _cmd_suite(cfg: ExperimentConfig, out: Path) -> int:
 
 
 def _cmd_plotdata(cfg: ExperimentConfig, out: Path) -> int:
-    section = cfg.raw.get("plotdata", {})
-    if not isinstance(section, dict):
-        raise ConfigError("plotdata", "expected a mapping")
-    inputs = section.get("inputs", [])
-    if not isinstance(inputs, list):
-        raise ConfigError("plotdata.inputs", "expected a list of trajectory files")
-    missing = [p for p in inputs if not Path(p).exists()]
-    if missing:
-        raise ConfigError("plotdata.inputs", f"missing input files: {missing}")
-    mode = section.get("mode", "series")
-    if mode not in ("series", "overlay"):
-        raise ConfigError("plotdata.mode", f"expected series|overlay, got {mode!r}")
+    inputs, mode, output = cfg.plotdata()
     out.mkdir(parents=True, exist_ok=True)
-    target = out / section.get("output", "plotdata.csv")
-    rows = emit_plot_data(inputs, mode, target)
+    target = out / output
+    try:
+        rows = emit_plot_data(inputs, mode, target)
+    except ValueError as exc:  # the inputs are not trajectory files on one grid
+        raise ConfigError("plotdata.inputs", str(exc)) from exc
     _emit({"output": str(target), "rows": rows})
     return 0
 
@@ -158,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.raw["seed"] = args.seed
         out = _resolve_out(cfg, args.out)
         return COMMANDS[args.command](cfg, out)
-    except (UnmetHypothesisError, ValueError) as exc:  # ConfigError is a ValueError
+    except (ConfigError, UnmetHypothesisError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except IntegrationError as exc:

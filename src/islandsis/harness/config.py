@@ -22,30 +22,38 @@ A single YAML document drives every subcommand.  Full key set:
     replications: <int>           # micro runs; default 1
     seed: <int>                   # master seed; default 0
     workers: <int>                # parallel replications; default 1
-    out: <path>                   # output directory
+    out: <path>                   # output directory, a non-empty string
     integrator:                   # optional overrides
       method: rk45 | rk4
       rtol: <float>
       atol: <float>
       fixed_step: <float>
     suite: <name> | [<name>, ...] # suite subcommand; omit to run all
-    taylor_order: <int>           # taylor subcommand; <= 12
+    taylor_order: <int>           # taylor subcommand; 0..12, default 6
     compare:
       max_deviation: <float>      # compare subcommand failure threshold
     plotdata:
-      inputs: [<csv path>, ...]
+      inputs: [<csv path>, ...]   # existing trajectory files
       mode: series | overlay
-      output: <file name>
+      output: <file name>         # written into the output directory
 
-The output directory resolves as --out flag, then the ISLANDSIS_OUT
-environment variable, then the `out` key (default "./out").  Validation
-errors name the offending field path and exit with status 2 from the CLI.
+Numbers must be finite: `.inf` and `.nan` are rejected wherever a number
+goes, and so is `null` wherever a key has a default.  Mapping keys are
+strings.  The output directory resolves as --out flag, then the
+ISLANDSIS_OUT environment variable, then the `out` key (default "./out").
+
+Every key above is read and checked here, and nowhere else.  Bad input
+raises ConfigError naming the offending field path; so do the run directory
+`compare` reads (on `out`) and the files `plotdata` merges (on
+`plotdata.inputs`) when they cannot be parsed.  The CLI exits with status 2
+on a ConfigError.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -53,6 +61,7 @@ from typing import Any
 import numpy as np
 import yaml
 
+from ..analysis import MAX_TAYLOR_ORDER
 from ..meanfield import MeanFieldParams, StepControl
 from ..micro import MacroCounts, StrainParams, edge_rows
 from ..topology import (
@@ -96,15 +105,38 @@ def _as_positive_int(value, path: str) -> int:
 
 
 def _as_number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(path, f"expected a number, got {value!r}")
-    return float(value)
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            if math.isfinite(value):
+                return float(value)
+        except OverflowError:  # an int beyond the float range
+            pass
+    raise ConfigError(path, f"expected a finite number, got {value!r}")
 
 
 def _as_positive_float(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+    number = _as_number(value, path)
+    if number <= 0:
         raise ConfigError(path, f"expected a positive number, got {value!r}")
-    return float(value)
+    return number
+
+
+def _as_path(value, path: str) -> str:
+    if not isinstance(value, str) or not value or "\0" in value:
+        raise ConfigError(path, f"expected a non-empty path string, got {value!r}")
+    return value
+
+
+def _string_keys(data, path: str = "") -> None:
+    """Refuse a mapping key that is not a string anywhere in the document."""
+    if isinstance(data, dict):
+        for key, value in data.items():
+            if not isinstance(key, str):
+                raise ConfigError(path or "(file)", f"mapping keys must be strings, got {key!r}")
+            _string_keys(value, f"{path}.{key}" if path else key)
+    elif isinstance(data, list):
+        for n, value in enumerate(data):
+            _string_keys(value, f"{path}[{n}]")
 
 
 @dataclass
@@ -125,6 +157,7 @@ class ExperimentConfig:
             raise ConfigError("(file)", f"not valid YAML: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError("(file)", "top level must be a mapping")
+        _string_keys(data)
         return cls(raw=data, path=str(p))
 
     @classmethod
@@ -152,11 +185,15 @@ class ExperimentConfig:
     def workers(self) -> int:
         return _as_positive_int(self.raw.get("workers", 1), "workers")
 
-    def num_islands(self) -> int:
+    def _topology(self) -> tuple[dict, Any]:
+        """The topology section and its generator."""
         topo = _need(self.raw, "topology", "")
         if not isinstance(topo, dict):
             raise ConfigError("topology", "expected a mapping")
-        gen = _need(topo, "generator", "topology")
+        return topo, _need(topo, "generator", "topology")
+
+    def num_islands(self) -> int:
+        topo, gen = self._topology()
         if gen == "bipartite":
             return 2
         if gen == "custom":
@@ -191,8 +228,7 @@ class ExperimentConfig:
         return sizes
 
     def build_net(self, size_override: int | None = None) -> SuperNetwork:
-        topo = _need(self.raw, "topology", "")
-        gen = _need(topo, "generator", "topology")
+        topo, gen = self._topology()
         sizes = self.sizes(size_override)
         try:
             if gen == "cycle":
@@ -210,7 +246,9 @@ class ExperimentConfig:
                 for n, e in enumerate(edges):
                     if not isinstance(e, list) or len(e) != 2:
                         raise ConfigError(f"topology.edges[{n}]", f"expected a [j, i] pair, got {e}")
-                return build_supernetwork(sizes, [tuple(e) for e in edges])
+                return build_supernetwork(sizes, [
+                    tuple(_as_positive_int(x, f"topology.edges[{n}][{a}]") for a, x in enumerate(e))
+                    for n, e in enumerate(edges)])
         except TopologyError as exc:
             raise ConfigError("topology", str(exc)) from exc
         raise ConfigError(
@@ -277,7 +315,10 @@ class ExperimentConfig:
         params = self.strain_params(net)
         scaled = StrainParams(net, tuple(tuple(g / mu for g in rates) for rates in params.gamma),
                               (1.0,) * params.num_strains)
-        return MeanFieldParams.from_micro(net, scaled)
+        effective = MeanFieldParams.from_micro(net, scaled)
+        if not np.all(np.isfinite(effective.w)):
+            raise ConfigError("strains", "the effective rates gamma/mu overflow the float range")
+        return effective
 
     # -- initial conditions -------------------------------------------------
 
@@ -325,21 +366,22 @@ class ExperimentConfig:
 
     # -- numerics -----------------------------------------------------------
 
-    def grid_times(self, t_end: float | None = None) -> np.ndarray:
-        t_end = self.t_end if t_end is None else t_end
+    def grid_times(self) -> np.ndarray:
+        t_end = self.t_end
         grid = self.raw.get("grid", 101)
         if isinstance(grid, int) and not isinstance(grid, bool):
             if grid < 2:
                 raise ConfigError("grid", "need at least 2 sample times")
-            return np.linspace(0.0, t_end, grid)
-        if isinstance(grid, list):
-            times = np.asarray([float(t) for t in grid])
-            if times.size == 0 or times[0] < 0 or np.any(np.diff(times) <= 0):
-                raise ConfigError("grid", "times must be strictly increasing and >= 0")
-            if times[-1] > t_end:
+            times = np.linspace(0.0, t_end, grid)
+        elif isinstance(grid, list):
+            times = np.asarray([_as_number(t, f"grid[{n}]") for n, t in enumerate(grid)])
+            if times.size and times[-1] > t_end:
                 raise ConfigError("grid", f"last time {times[-1]} exceeds t_end {t_end}")
-            return times
-        raise ConfigError("grid", f"expected int or list, got {type(grid).__name__}")
+        else:
+            raise ConfigError("grid", f"expected int or list, got {type(grid).__name__}")
+        if times.size == 0 or times[0] < 0 or np.any(np.diff(times) <= 0):
+            raise ConfigError("grid", "times must be strictly increasing and >= 0")
+        return times
 
     def step_control(self) -> StepControl:
         section = self.raw.get("integrator", {})
@@ -356,14 +398,64 @@ class ExperimentConfig:
         return StepControl(**kwargs)
 
     def suites(self) -> tuple[str, ...]:
-        suite = self.raw.get("suite")
-        if suite is None:
+        if "suite" not in self.raw:
             return SUITE_NAMES
-        names = [suite] if isinstance(suite, str) else list(suite)
-        for name in names:
+        suite = self.raw["suite"]
+        if isinstance(suite, str):
+            named = [("suite", suite)]
+        elif isinstance(suite, list):
+            named = [(f"suite[{n}]", name) for n, name in enumerate(suite)]
+        else:
+            raise ConfigError("suite", f"expected a suite name or a list of names, got {suite!r}")
+        for path, name in named:
             if name not in SUITE_NAMES:
-                raise ConfigError("suite", f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-        return tuple(names)
+                raise ConfigError(path, f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+        return tuple(name for _, name in named)
+
+    # -- subcommand inputs ----------------------------------------------------
+
+    @property
+    def out(self) -> str:
+        """The `out` key; the CLI's --out flag and ISLANDSIS_OUT take precedence."""
+        return _as_path(self.raw.get("out", "out"), "out")
+
+    @property
+    def taylor_order(self) -> int:
+        order = self.raw.get("taylor_order", 6)
+        if not isinstance(order, int) or isinstance(order, bool) or not 0 <= order <= MAX_TAYLOR_ORDER:
+            raise ConfigError("taylor_order",
+                              f"expected an integer in 0..{MAX_TAYLOR_ORDER}, got {order!r}")
+        return order
+
+    @property
+    def max_deviation(self) -> float | None:
+        """The `compare` pass/fail threshold, None when the config sets none."""
+        section = self.raw.get("compare", {})
+        if not isinstance(section, dict):
+            raise ConfigError("compare", f"expected a mapping, got {section!r}")
+        if "max_deviation" not in section:
+            return None
+        return _as_number(section["max_deviation"], "compare.max_deviation")
+
+    def plotdata(self) -> tuple[list[str], str, str]:
+        """(input files, mode, output file name) of the `plotdata` section."""
+        section = self.raw.get("plotdata", {})
+        if not isinstance(section, dict):
+            raise ConfigError("plotdata", "expected a mapping")
+        inputs = section.get("inputs", [])
+        if not isinstance(inputs, list):
+            raise ConfigError("plotdata.inputs", "expected a list of trajectory files")
+        inputs = [_as_path(p, f"plotdata.inputs[{n}]") for n, p in enumerate(inputs)]
+        missing = [p for p in inputs if not Path(p).is_file()]
+        if missing:
+            raise ConfigError("plotdata.inputs", f"missing input files: {missing}")
+        mode = section.get("mode", "series")
+        if mode not in ("series", "overlay"):
+            raise ConfigError("plotdata.mode", f"expected series|overlay, got {mode!r}")
+        output = _as_path(section.get("output", "plotdata.csv"), "plotdata.output")
+        if output in (".", "..") or Path(output).name != output:
+            raise ConfigError("plotdata.output", f"expected a file name, got {output!r}")
+        return inputs, mode, output
 
     def resolved(self) -> dict:
         """The configuration as run: raw keys minus output location."""

@@ -20,7 +20,8 @@ from ..meanfield import integrate
 from ..micro import RNG_ALGORITHM, MacroCounts, MicroTrajectory, StrainParams, simulate
 from ..topology import SuperNetwork
 from .config import ConfigError, ExperimentConfig, canonical_hash
-from .trajio import read_manifest, read_trajectory, write_manifest, write_micro_trajectory, write_ode_trajectory
+from .trajio import (TrajectoryData, read_manifest, read_trajectory, write_manifest,
+                     write_micro_trajectory, write_ode_trajectory)
 
 MANIFEST_NAME = "manifest.json"
 MEANFIELD_MANIFEST_NAME = "meanfield_manifest.json"  # keeps a shared out dir collision-free
@@ -71,6 +72,7 @@ def run_replications(
 ) -> list[MicroTrajectory]:
     """Replications in index order regardless of execution order."""
     tasks = [(counts0, net, params, t_end, seed, grid, rep) for rep in reps]
+    workers = min(workers, len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(pool.map(_simulate_task, tasks))
@@ -113,7 +115,14 @@ def meanfield_run(cfg: ExperimentConfig, net: SuperNetwork, y0: np.ndarray, grid
     """
     mu = cfg.common_mu()
     params = cfg.meanfield_params(net)
-    traj = integrate(params, y0, mu * cfg.t_end, control=cfg.step_control(), t_eval=mu * grid)
+    control = cfg.step_control()
+    horizon, t_eval = mu * cfg.t_end, mu * grid
+    if not (horizon > 0 and np.all(np.diff(t_eval) > 0)):
+        raise ConfigError("strains.mu", f"healing rate {mu} leaves no distinct normalized sample times")
+    if control.method == "rk4" and horizon > control.fixed_step * control.max_steps:
+        raise ConfigError("integrator.fixed_step", f"{horizon:g} / {control.fixed_step:g} steps "
+                                                   f"exceed the budget of {control.max_steps}")
+    traj = integrate(params, y0, horizon, control=control, t_eval=t_eval)
     return params, traj
 
 
@@ -214,36 +223,60 @@ def run_converge(cfg: ExperimentConfig, out_dir: str | Path) -> ConvergenceRepor
     return report
 
 
+def _read_run_file(read, path: Path):
+    """read(path); a file that cannot be read or parsed is a ConfigError on `out`."""
+    try:
+        return read(path)
+    except OSError as exc:
+        raise ConfigError("out", f"{path}: {exc.strerror}") from exc
+    except ValueError as exc:  # trajio names the file in each of its parse errors
+        raise ConfigError("out", str(exc)) from exc
+
+
+def _read_run(out: Path) -> tuple[dict, list[TrajectoryData]]:
+    """The manifest in `out` and the micro trajectories it lists."""
+    manifest_path = out / MANIFEST_NAME
+    if not manifest_path.exists():
+        raise ConfigError("out", f"no {MANIFEST_NAME} in {out}; run simulate first")
+    manifest = _read_run_file(read_manifest, manifest_path)
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, list) or not all(isinstance(name, str) for name in files):
+        raise ConfigError("out", f"{manifest_path}: expected a list of file names under \"files\"")
+    data = [_read_run_file(read_trajectory, out / name) for name in files]
+    data = [d for d in data if d.kind == "micro"]
+    if not data:
+        raise ConfigError("out", "manifest lists no micro trajectory files")
+    return manifest, data
+
+
 def run_compare(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     """Compare previously simulated replications in out_dir with the ODE.
 
     The run must have simulated the config's rates and island sizes from the
-    config's initial counts, as its manifest records them.  Its
-    replications are averaged and compared in sup norm with the ODE on the
-    same grid (see `mean_vs_ode`).  A `compare.max_deviation` config key makes
-    the comparison pass/fail.
+    config's initial counts, as its manifest records them, and sampled every
+    replication on one grid within t_end.  Its replications are averaged and
+    compared in sup norm with the ODE on the same grid (see `mean_vs_ode`).  A
+    `compare.max_deviation` config key makes the comparison pass/fail.
     """
-    section = cfg.raw.get("compare", {})
-    if not isinstance(section, dict):
-        raise ConfigError("compare", f"expected a mapping, got {section!r}")
+    limit = cfg.max_deviation
     out = Path(out_dir)
-    manifest_path = out / MANIFEST_NAME
-    if not manifest_path.exists():
-        raise ConfigError("out", f"no {MANIFEST_NAME} in {out}; run simulate first")
-    manifest = read_manifest(manifest_path)
-    data = [read_trajectory(out / name) for name in manifest["files"]]
-    data = [d for d in data if d.kind == "micro"]
-    if not data:
-        raise ConfigError("out", "manifest lists no micro trajectory files")
+    manifest, data = _read_run(out)
 
     net = cfg.build_net()
-    if manifest.get("params_hash") != params_hash(cfg.strain_params(net)):
+    params = cfg.strain_params(net)
+    if manifest.get("params_hash") != params_hash(params):
         raise ConfigError("strains", f"the run in {out} simulated other rates than the config's")
-    if any(d.sizes != net.sizes for d in data):
+    if any(d.metadata.get("sizes") != " ".join(map(str, net.sizes)) for d in data):
         raise ConfigError("sizes", f"the run in {out} simulated island sizes other than {net.sizes}")
     if manifest.get("initial_counts") != [list(row) for row in cfg.initial_counts(net).y]:
         raise ConfigError("initial", f"the run in {out} started from other counts than the config's")
-    gap, deviation, _ = mean_vs_ode(cfg, net, np.stack([d.fractions for d in data]), data[0].times)
+    times = data[0].times
+    shape = (times.size, net.num_islands, params.num_strains)
+    if any(d.fractions.shape != shape or not np.array_equal(d.times, times) for d in data):
+        raise ConfigError("out", f"the trajectories in {out} differ in their times, islands or strains")
+    if times[-1] > cfg.t_end:
+        raise ConfigError("t_end", f"the run in {out} sampled up to t = {times[-1]}, beyond t_end")
+    gap, deviation, _ = mean_vs_ode(cfg, net, np.stack([d.fractions for d in data]), times)
     per_series = {
         f"island{i + 1}:strain{k + 1}": float(gap[:, i, k].max())
         for i in range(gap.shape[1])
@@ -254,8 +287,7 @@ def run_compare(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         "sup_deviation": deviation,
         "per_series_deviation": per_series,
     }
-    if "max_deviation" in section:
-        limit = float(section["max_deviation"])
+    if limit is not None:
         report["max_deviation"] = limit
         report["passed"] = report["sup_deviation"] <= limit
     write_manifest(out / "compare_report.json", report)

@@ -19,6 +19,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,11 +49,6 @@ class TrajectoryData:
     @property
     def kind(self) -> str:
         return self.metadata.get("kind", "unknown")
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        """Island sizes of a micro trajectory."""
-        return tuple(int(n) for n in self.metadata["sizes"].split())
 
 
 def _render(times, fractions, counts, metadata: dict) -> str:
@@ -110,9 +107,11 @@ def read_trajectory(path: str | Path) -> TrajectoryData:
     """Parse a trajectory CSV back into arrays.
 
     Raises:
-        ValueError: on a missing format tag or malformed rows.
+        OSError: when the file cannot be read.
+        ValueError: naming the file, on a missing format tag or header, a
+            malformed or out-of-range row, or a missing cell.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text(errors="replace").splitlines()
     if not lines or lines[0] != f"# {FORMAT_TAG}":
         raise ValueError(f"{path}: not an islandsis trajectory file")
     metadata: dict[str, str] = {}
@@ -126,25 +125,29 @@ def read_trajectory(path: str | Path) -> TrajectoryData:
     rows = list(csv.reader(lines[body_start:]))
     if not rows or tuple(rows[0]) != HEADER:
         raise ValueError(f"{path}: missing column header {HEADER}")
-    islands: set[int] = set()
-    strains: set[int] = set()
+    if len(rows) == 1:
+        raise ValueError(f"{path}: no data rows")
     parsed = []
     for row in rows[1:]:
-        t, i, k, count, frac = row
-        islands.add(int(i))
-        strains.add(int(k))
-        parsed.append((float(t), int(i), int(k), count, float(frac)))
-    m, kk = max(islands), max(strains)
+        try:
+            t, i, k, count, frac = row
+            cell = (float(t), int(i), int(k), int(count) if count else None, float(frac))
+        except ValueError:
+            raise ValueError(f"{path}: malformed row {row}") from None
+        if not (math.isfinite(cell[0]) and cell[0] >= 0 and cell[1] >= 1 and cell[2] >= 1):
+            raise ValueError(f"{path}: row {row} needs a finite time >= 0 and 1-based indices")
+        parsed.append(cell)
+    m, kk = max(p[1] for p in parsed), max(p[2] for p in parsed)
     times = sorted({p[0] for p in parsed})
     t_index = {t: n for n, t in enumerate(times)}
     fractions = np.full((len(times), m, kk), np.nan)
-    has_counts = any(p[3] != "" for p in parsed)
+    has_counts = any(p[3] is not None for p in parsed)
     counts = np.zeros((len(times), m, kk), dtype=np.int64) if has_counts else None
     for t, i, k, count, frac in parsed:
         ti = t_index[t]
         fractions[ti, i - 1, k - 1] = frac
         if has_counts:
-            counts[ti, i - 1, k - 1] = int(count) if count else 0
+            counts[ti, i - 1, k - 1] = count or 0
     if np.any(np.isnan(fractions)):
         raise ValueError(f"{path}: sparse rows; every (time, island, strain) cell is required")
     return TrajectoryData(
@@ -153,11 +156,27 @@ def read_trajectory(path: str | Path) -> TrajectoryData:
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:
-    Path(path).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    """Write JSON to a temporary file beside `path`, then rename it over `path`.
+
+    A write that fails leaves the previous file, if any, and no temporary file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(manifest, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
+    """Parse a JSON manifest; a ValueError names the file."""
+    try:
+        return json.loads(Path(path).read_text(errors="replace"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from None
 
 
 PLOT_HEADER = ("time", "series", "value")

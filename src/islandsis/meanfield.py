@@ -283,7 +283,7 @@ def integrate_field(
         else:
             y_new, err = _dp_step(f, t, y, h_try)
             scale = control.atol + control.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            with np.errstate(invalid="ignore"):
+            with np.errstate(invalid="ignore", over="ignore"):
                 err_norm = float(np.max(np.abs(err) / scale)) if err.size else 0.0
             if not np.isfinite(err_norm) or err_norm > 1.0:
                 n_rejected += 1

@@ -20,7 +20,8 @@ count-level simulator (`simulate`) and a full node-level one
 (`node_level_simulate`, used as a cross-check of the count reduction) are
 provided.  They induce the same law on count trajectories.
 
-`event_rates` is the exact (Fraction-valued) specification of the chain;
+`event_rates` is the exact (Fraction-valued) specification of the chain, a
+`{(kind, island, strain): rate}` dict;
 `simulate` is one event loop that steps plain per-island counts in place on
 the same rate formula, checking its inputs once.
 
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -44,12 +45,6 @@ INFECT = "infect"
 HEAL = "heal"
 
 RNG_ALGORITHM = "philox4x64"
-
-
-class Event(NamedTuple):
-    kind: str  # INFECT or HEAL
-    island: int  # 1-based
-    strain: int  # 1-based
 
 
 @dataclass(frozen=True)
@@ -184,27 +179,6 @@ class MacroCounts:
         return np.array(self.y, dtype=float) / np.asarray(self.sizes, dtype=float)[:, None]
 
 
-@dataclass
-class EventRateTable:
-    """Events that can fire from a given macrostate, with their rates.
-
-    Zero-rate events are omitted.  Rates keep the numeric type of the inputs,
-    so Fraction-valued parameters yield exact rational rates.
-    """
-
-    entries: list[tuple[Event, float]]
-
-    @property
-    def total(self):
-        return sum(r for _, r in self.entries)
-
-    def rate_of(self, kind: str, island: int, strain: int):
-        for ev, r in self.entries:
-            if ev == (kind, island, strain):
-                return r
-        return 0
-
-
 def _in_edge_groups(net: SuperNetwork, gamma) -> list:
     """Per island: its 0-based in-edge sources, and per strain the rates along those edges."""
     groups, stop = [], 0
@@ -241,8 +215,8 @@ def _check_counts(counts: MacroCounts, net: SuperNetwork, params: StrainParams) 
         raise ValueError("counts and params disagree on the number of strains")
 
 
-def event_rates(counts: MacroCounts, net: SuperNetwork, params: StrainParams) -> EventRateTable:
-    """Rate table of the count-level Markov chain at `counts`.
+def event_rates(counts: MacroCounts, net: SuperNetwork, params: StrainParams) -> dict:
+    """Rates of the count-level Markov chain at `counts`.
 
     Args:
         counts: current macrostate (validated against net).
@@ -250,7 +224,10 @@ def event_rates(counts: MacroCounts, net: SuperNetwork, params: StrainParams) ->
         params: per-strain rates built for net.
 
     Returns:
-        EventRateTable listing every infect/heal event with positive rate.
+        {(kind, island, strain): rate} for every INFECT/HEAL event with
+        positive rate; islands and strains are 1-based.  Rates keep the
+        numeric type of the inputs, so Fraction-valued parameters yield exact
+        rational rates.
 
     Raises:
         ValueError: on island/strain dimension mismatch, or params built for
@@ -259,8 +236,7 @@ def event_rates(counts: MacroCounts, net: SuperNetwork, params: StrainParams) ->
     _check_counts(counts, net, params)
     params.validate_for(net)
     events = _events(counts.y, counts.sizes, _in_edge_groups(net, params.gamma), params.mu)
-    return EventRateTable([(Event(INFECT if d > 0 else HEAL, i + 1, k + 1), r)
-                           for i, k, d, r in events])
+    return {(INFECT if d > 0 else HEAL, i + 1, k + 1): r for i, k, d, r in events}
 
 
 def replication_rng(master_seed: int, rep: int = 0) -> np.random.Generator:

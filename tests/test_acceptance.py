@@ -56,11 +56,11 @@ def test_c1_exact_event_rates():
         net = bipartite_supernetwork(3, 3)
         params = StrainParams.uniform(net, gamma, Fraction(1))
         table = event_rates(MacroCounts(((1,), (2,)), (3, 3)), net, params)
-        infect = [table.rate_of(INFECT, 1, 1), table.rate_of(INFECT, 2, 1)]
+        infect = [table.get((INFECT, 1, 1), 0), table.get((INFECT, 2, 1), 0)]
         ok &= infect == [gamma * Fraction(4, 3), gamma * Fraction(1, 3)]
         ok &= sum(infect) == gamma * Fraction(5, 3)
         full = event_rates(MacroCounts(((0,), (3,)), (3, 3)), net, params)
-        ok &= sum(r for ev, r in full.entries if ev.kind == INFECT) == 3 * gamma
+        ok &= sum(r for (kind, _, _), r in full.items() if kind == INFECT) == 3 * gamma
     elapsed = time.perf_counter() - t0
     report("C1 exact-event-rates", ok, elapsed, 1, "rational arithmetic, zero tolerance")
     assert ok and elapsed < 1

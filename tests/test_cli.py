@@ -218,14 +218,95 @@ def test_config_error_exit_codes(tmp_path, capsys):
     ("compare", {"compare": 5}, "compare"),
     ("meanfield", {"initial": {"kind": "matrix", "values": {"a": 1}}}, "initial.values"),
     ("meanfield", {"initial": {"kind": "matrix", "values": [[0.1], ["x"]]}}, "initial.values[1][0]"),
+    ("meanfield", {"grid": [0, [1]]}, "grid[1]"),
+    ("meanfield", {"grid": [0, "x"]}, "grid[1]"),
+    ("suite", {"suite": 5}, "suite"),
+    ("plotdata", {"plotdata": {"output": 5}}, "plotdata.output"),
+    ("plotdata", {"plotdata": {"inputs": [5]}}, "plotdata.inputs[0]"),
+    ("simulate", {"topology": {"generator": "custom", "edges": [[[1], 2]]}, "sizes": [3, 3]},
+     "topology.edges[0][0]"),
+    ("simulate", {"topology": {"generator": "custom", "edges": [["a", 2]]}, "sizes": [3, 3]},
+     "topology.edges[0][0]"),
+    ("simulate", {"t_end": float("inf")}, "t_end"),
+    ("meanfield", {"t_end": float("inf")}, "t_end"),
+    ("simulate", {"t_end": float("nan")}, "t_end"),
+    ("taylor", {"taylor_order": 13}, "taylor_order"),
+    # found by tests/test_cli_fuzz.py or next to what it found
+    ("simulate", {"topology": None}, "topology"),
+    ("simulate", {"integrator": {1: 2}}, "integrator"),
+    ("meanfield", {"t_end": 5e-324}, "grid"),
+    ("meanfield", {"strains": [{"gamma": 2.0, "mu": 5e-324}]}, "strains"),
+    ("meanfield", {"integrator": {"method": "rk4", "fixed_step": 1e-300}}, "integrator.fixed_step"),
 ], ids=["strain-not-mapping-meanfield", "strain-not-mapping-classify", "mu-not-number",
         "fraction-not-number", "edge-not-pair", "compare-not-mapping", "values-not-rows",
-        "value-not-number"])
+        "value-not-number", "grid-entry-list", "grid-entry-string", "suite-not-name",
+        "plot-output-not-string", "plot-input-not-string", "edge-label-list", "edge-label-string",
+        "t_end-inf-simulate", "t_end-inf-meanfield", "t_end-nan", "taylor-order-too-high",
+        "topology-null", "non-string-key", "grid-collapses", "rates-overflow", "rk4-over-budget"])
 def test_wrong_type_exits_2_naming_the_field(tmp_path, capsys, command, overrides, field):
     cfg = write_cfg(tmp_path, **overrides)
     assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {field}: "), err
+
+
+def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
+    from islandsis.harness import cli
+
+    def broken(cfg, out):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "run_simulate", broken)
+    with pytest.raises(ValueError, match="a bug"):
+        main(["simulate", str(write_cfg(tmp_path)), "--out", str(tmp_path / "out")])
+
+
+def test_out_key_must_be_a_path(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("ISLANDSIS_OUT", raising=False)
+    assert main(["simulate", str(write_cfg(tmp_path, out=5))]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: out: "), err
+
+
+def test_plotdata_input_that_is_no_trajectory_exits_2(tmp_path, capsys):
+    other = tmp_path / "x.csv"
+    other.write_text("a,b\n1,2\n")
+    cfg = write_cfg(tmp_path, plotdata={"inputs": [str(other)]})
+    assert main(["plotdata", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: plotdata.inputs: {other}: "), err
+
+
+def _drop_files(run):
+    manifest = json.loads((run / "manifest.json").read_text())
+    del manifest["files"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _append_short_row(run):
+    with open(run / "traj_rep0000.csv", "a") as fh:
+        fh.write("1,2\n")
+
+
+@pytest.mark.parametrize("damage, overrides, field", [
+    (_drop_files, {}, "out"),
+    (lambda run: (run / "traj_rep0001.csv").unlink(), {}, "out"),
+    (lambda run: (run / "manifest.json").write_text("{not json"), {}, "out"),
+    (_append_short_row, {}, "out"),
+    (lambda run: None, {"compare": {"max_deviation": {"a": 1}}}, "compare.max_deviation"),
+], ids=["manifest-without-files", "csv-deleted", "manifest-not-json", "short-csv-row",
+        "max-deviation-not-number"])
+def test_compare_on_a_bad_run_exits_2_naming_the_field(tmp_path, capsys, damage, overrides, field):
+    cfg = write_cfg(tmp_path, **overrides)
+    run = tmp_path / "run"
+    assert main(["simulate", str(cfg), "--out", str(run)]) == 0
+    damage(run)
+    capsys.readouterr()
+    assert main(["compare", str(cfg), "--out", str(run)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {field}: "), err
+    assert not (run / "compare_report.json").exists()
 
 
 # A two-strain run with unequal island sizes, one strain given per ordered

@@ -11,11 +11,13 @@ from islandsis.harness.experiments import (
     run_simulate,
     sup_deviation,
 )
+from islandsis.harness import trajio
 from islandsis.harness.suites import run_theorem_suite
 from islandsis.harness.trajio import (
     emit_plot_data,
     read_manifest,
     read_trajectory,
+    write_manifest,
     write_micro_trajectory,
     write_ode_trajectory,
 )
@@ -144,6 +146,25 @@ class TestTrajIO:
         path.write_text("time,island\n0,1\n")
         with pytest.raises(ValueError, match="not an islandsis trajectory"):
             read_trajectory(path)
+
+    def test_failed_manifest_write_keeps_the_previous_one(self, tmp_path, monkeypatch):
+        path = tmp_path / "manifest.json"
+        write_manifest(path, {"files": ["a.csv"]})
+        before = path.read_bytes()
+        # json.dump has written part of the temporary file when it meets the set
+        with pytest.raises(TypeError):
+            write_manifest(path, {"files": ["b.csv"], "z": {1, 2}})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+        def no_rename(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(trajio.os, "replace", no_rename)
+        with pytest.raises(OSError, match="rename failed"):
+            write_manifest(path, {"files": ["c.csv"]})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
 
 
 class TestPlotData:

@@ -35,7 +35,7 @@ def generator(net, params):
     index = {s: a for a, s in enumerate(states)}
     q = np.zeros((len(states), len(states)))
     for a, s in enumerate(states):
-        for (kind, i, k), rate in event_rates(MacroCounts(s, net.sizes), net, params).entries:
+        for (kind, i, k), rate in event_rates(MacroCounts(s, net.sizes), net, params).items():
             rows = [list(r) for r in s]
             rows[i - 1][k - 1] += 1 if kind == INFECT else -1
             q[a, index[tuple(map(tuple, rows))]] += float(rate)

@@ -16,7 +16,8 @@ from islandsis.meanfield import (
     validate_state,
 )
 from islandsis.micro import StrainParams
-from islandsis.topology import bipartite_supernetwork, cycle_supernetwork
+from islandsis.topology import (bipartite_supernetwork, complete_supernetwork, cycle_supernetwork,
+                                superdegree)
 
 BIP = bipartite_supernetwork(1, 1)
 
@@ -254,6 +255,20 @@ class TestReducedScalar:
             ) / (12 * h)
             residual = stencil - (d * gamma * y * (1 - y) - y)
             assert np.abs(residual).max() < 1e-10, (d, gamma, y0)
+
+    @pytest.mark.parametrize("net", [bipartite_supernetwork(1, 1), cycle_supernetwork(5, 1),
+                                     complete_supernetwork(4, 1)], ids=["d1", "d2", "d3"])
+    def test_dp45_at_default_control_matches_closed_form(self, net):
+        # below (0.5), at (1) and above (2) the critical coupling d*gamma = 1
+        d = superdegree(net, 1)
+        grid = np.linspace(0.0, 20.0, 81)
+        for d_gamma in (0.5, 1.0, 2.0):
+            params = MeanFieldParams.symmetric(net, d_gamma / d)
+            for y0 in (0.05, 0.5, 0.95):
+                traj = integrate(params, np.full((net.num_islands, 1), y0), 20.0, t_eval=grid)
+                closed = reduced_scalar_solution(d, d_gamma / d, y0, grid)
+                gap = np.abs(traj.states[:, :, 0] - closed[:, None]).max()
+                assert gap <= 1e-8, (d, d_gamma, y0, gap)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -28,30 +28,30 @@ class TestEventRates:
     def test_one_and_two_infected(self):
         # Y = (1, 2): pressure into island 1 is 2*gamma on 2/3 healthy targets
         table = event_rates(MacroCounts(((1,), (2,)), (3, 3)), BIP33, unit_rates())
-        assert table.rate_of(INFECT, 1, 1) == Fraction(4, 3)
-        assert table.rate_of(INFECT, 2, 1) == Fraction(1, 3)
-        infect_total = sum(r for ev, r in table.entries if ev.kind == INFECT)
+        assert table.get((INFECT, 1, 1), 0) == Fraction(4, 3)
+        assert table.get((INFECT, 2, 1), 0) == Fraction(1, 3)
+        infect_total = sum(r for (kind, _, _), r in table.items() if kind == INFECT)
         assert infect_total == Fraction(5, 3)
-        assert table.rate_of(HEAL, 1, 1) == 1
-        assert table.rate_of(HEAL, 2, 1) == 2
+        assert table.get((HEAL, 1, 1), 0) == 1
+        assert table.get((HEAL, 2, 1), 0) == 2
 
     def test_fully_infected_island(self):
         table = event_rates(MacroCounts(((0,), (3,)), (3, 3)), BIP33, unit_rates())
-        assert table.rate_of(INFECT, 1, 1) == 3
-        assert table.rate_of(INFECT, 2, 1) == 0
-        assert sum(r for ev, r in table.entries if ev.kind == INFECT) == 3
+        assert table.get((INFECT, 1, 1), 0) == 3
+        assert table.get((INFECT, 2, 1), 0) == 0
+        assert sum(r for (kind, _, _), r in table.items() if kind == INFECT) == 3
 
     def test_all_zero_is_absorbing(self):
         table = event_rates(MacroCounts.zeros(BIP33, 1), BIP33, unit_rates())
-        assert table.entries == []
-        assert table.total == 0
+        assert list(table.items()) == []
+        assert sum(table.values()) == 0
 
     def test_scales_linearly_in_gamma(self):
         g = Fraction(7, 2)
         table = event_rates(
             MacroCounts(((1,), (2,)), (3, 3)), BIP33, StrainParams.uniform(BIP33, g, Fraction(1))
         )
-        assert table.rate_of(INFECT, 1, 1) == g * Fraction(4, 3)
+        assert table.get((INFECT, 1, 1), 0) == g * Fraction(4, 3)
 
     def test_dimension_mismatch_rejected(self):
         other = bipartite_supernetwork(4, 4)
@@ -235,4 +235,4 @@ def test_params_refuse_another_network_of_the_same_shape():
         MeanFieldParams.from_micro(other, params)
     # an equal network built separately is accepted
     twin = build_supernetwork([2, 2, 2, 2], [(2, 1), (4, 3)])
-    assert event_rates(counts, twin, params).total == event_rates(counts, built_for, params).total
+    assert sum(event_rates(counts, twin, params).values()) == sum(event_rates(counts, built_for, params).values())
