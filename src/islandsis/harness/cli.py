@@ -5,12 +5,13 @@
 The subcommands are the keys of COMMANDS.  The only positional arguments
 are the subcommand and the config path; everything else lives in the config
 file.  --seed and --out override the config; the ISLANDSIS_OUT environment
-variable overrides the config's output directory (but not --out).
+variable overrides the config's output directory (but not --out).  It is
+checked before any work and created by the first file trajio writes into it.
 
 Exit status: 0 on success, 1 when a requested check fails, 2 on bad input
-(ConfigError: the config, the run directory or the plotdata inputs), an unmet
-hypothesis or a failed ODE integration.  Any other exception is a bug and
-surfaces as one.
+(ConfigError: the config, an output location that is not a directory, the run
+directory or the plotdata inputs), an unmet hypothesis or a failed ODE
+integration.  Any other exception is a bug and surfaces as one.
 """
 
 from __future__ import annotations
@@ -27,13 +28,18 @@ from ..topology import superdegree
 from .config import ConfigError, ExperimentConfig
 from .experiments import run_compare, run_converge, run_meanfield, run_simulate
 from .suites import run_theorem_suite
-from .trajio import emit_plot_data
+from .trajio import emit_plot_data, write_manifest
 
 ENV_OUT = "ISLANDSIS_OUT"
 
 
 def _resolve_out(cfg: ExperimentConfig, flag: str | None) -> Path:
-    return Path(flag or os.environ.get(ENV_OUT) or cfg.out)
+    """--out, else ISLANDSIS_OUT, else `out`; it, or its nearest existing ancestor, must be a directory."""
+    out = Path(flag or os.environ.get(ENV_OUT) or cfg.out)
+    existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not existing.is_dir():
+        raise ConfigError("out", f"{existing} is not a directory")
+    return out
 
 
 def _emit(payload: dict) -> None:
@@ -91,8 +97,7 @@ def _cmd_taylor(cfg: ExperimentConfig, out: Path) -> int:
             for k in range(y0.shape[1])
         },
     }
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "taylor_table.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_manifest(out / "taylor_table.json", payload)
     _emit(payload)
     return 0
 
@@ -100,8 +105,7 @@ def _cmd_taylor(cfg: ExperimentConfig, out: Path) -> int:
 def _cmd_suite(cfg: ExperimentConfig, out: Path) -> int:
     reports = [run_theorem_suite(name) for name in cfg.suites()]
     payload = {"suites": [r.to_dict() for r in reports], "passed": all(r.passed for r in reports)}
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "suite_report.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_manifest(out / "suite_report.json", payload)
     for report in reports:
         for check in report.checks:
             print(f"[{'PASS' if check.passed else 'FAIL'}] {report.suite}:{check.name}")
@@ -110,8 +114,9 @@ def _cmd_suite(cfg: ExperimentConfig, out: Path) -> int:
 
 def _cmd_plotdata(cfg: ExperimentConfig, out: Path) -> int:
     inputs, mode, output = cfg.plotdata()
-    out.mkdir(parents=True, exist_ok=True)
     target = out / output
+    if target.is_dir():
+        raise ConfigError("plotdata.output", f"{target} is a directory")
     try:
         rows = emit_plot_data(inputs, mode, target)
     except ValueError as exc:  # the inputs are not trajectory files on one grid
@@ -145,8 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = ExperimentConfig.load(args.config)
         if args.seed is not None:
             cfg.raw["seed"] = args.seed
-        out = _resolve_out(cfg, args.out)
-        return COMMANDS[args.command](cfg, out)
+        return COMMANDS[args.command](cfg, _resolve_out(cfg, args.out))
     except (ConfigError, UnmetHypothesisError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -6,8 +6,8 @@ A single YAML document drives every subcommand.  Full key set:
       generator: cycle | complete | star | bipartite | custom
       islands: <int>              # island count (generators; bipartite fixes 2)
       edges: [[j, i], ...]        # custom only; 1-based island labels
-    sizes: <int> | [<int>, ...]   # nodes per island; a scalar is uniform
-    size_schedule: [<int>, ...]   # converge only; strictly increasing uniform sizes
+    sizes: <int> | [<int>, ...]   # nodes per island, at most 2**53; a scalar is uniform
+    size_schedule: [<int>, ...]   # converge only; strictly increasing uniform sizes, at most 2**53
     strains:                      # one entry per strain
       - gamma: <float> | {"j->i": <float>, ...}   # uniform or per ordered pair
         mu: <float>               # healing rate, default 1.0
@@ -101,6 +101,14 @@ def _need(mapping: dict, key: str, path: str) -> Any:
 def _as_positive_int(value, path: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
         raise ConfigError(path, f"expected a positive integer, got {value!r}")
+    return value
+
+
+def _as_size(value, path: str) -> int:
+    # Up to 2**53 the f*N rounding of initial counts and the N_j/N_i rate ratios
+    # are exact in float64, and the int64 counts are far from overflow.
+    if _as_positive_int(value, path) > 2**53:
+        raise ConfigError(path, f"expected an island size of at most 2**53, got {value}")
     return value
 
 
@@ -209,20 +217,18 @@ class ExperimentConfig:
             return (override_uniform,) * m
         sizes = _need(self.raw, "sizes", "")
         if isinstance(sizes, int) and not isinstance(sizes, bool):
-            return (_as_positive_int(sizes, "sizes"),) * m
+            return (_as_size(sizes, "sizes"),) * m
         if isinstance(sizes, list):
             if len(sizes) != m:
                 raise ConfigError("sizes", f"expected {m} entries, got {len(sizes)}")
-            return tuple(_as_positive_int(s, f"sizes[{i}]") for i, s in enumerate(sizes))
+            return tuple(_as_size(s, f"sizes[{i}]") for i, s in enumerate(sizes))
         raise ConfigError("sizes", f"expected int or list, got {type(sizes).__name__}")
 
     def size_schedule(self) -> tuple[int, ...]:
         sched = _need(self.raw, "size_schedule", "")
         if not isinstance(sched, list) or len(sched) < 3:
             raise ConfigError("size_schedule", "need a list of at least 3 sizes")
-        sizes = tuple(
-            _as_positive_int(s, f"size_schedule[{i}]") for i, s in enumerate(sched)
-        )
+        sizes = tuple(_as_size(s, f"size_schedule[{i}]") for i, s in enumerate(sched))
         if any(b <= a for a, b in zip(sizes, sizes[1:])):
             raise ConfigError("size_schedule", f"sizes must be strictly increasing, got {sizes}")
         return sizes

@@ -2,8 +2,8 @@
 
 Every output is a deterministic function of (config, master seed); wall-clock
 timestamps appear only in the run manifest.  Replications fan out to a process
-pool when the config asks for more than one worker; results are keyed by
-replication index, so the schedule does not affect any output.
+pool when the config asks for more than one worker; results come back in
+replication order, so the schedule does not affect any output.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import datetime as _dt
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -55,11 +56,6 @@ def _write_run_manifest(path: Path, cfg: ExperimentConfig, command: str, files: 
     return manifest
 
 
-def _simulate_task(args) -> tuple[int, MicroTrajectory]:
-    counts0, net, params, t_end, seed, grid, rep = args
-    return rep, simulate(counts0, net, params, t_end, seed, grid, rep=rep)
-
-
 def run_replications(
     counts0: MacroCounts,
     net: SuperNetwork,
@@ -71,14 +67,12 @@ def run_replications(
     workers: int = 1,
 ) -> list[MicroTrajectory]:
     """Replications in index order regardless of execution order."""
-    tasks = [(counts0, net, params, t_end, seed, grid, rep) for rep in reps]
-    workers = min(workers, len(tasks))
+    task = partial(simulate, counts0, net, params, t_end, seed, grid)
+    workers = min(workers, len(reps))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(pool.map(_simulate_task, tasks))
-    else:
-        results = dict(_simulate_task(t) for t in tasks)
-    return [results[rep] for rep in reps]
+            return list(pool.map(task, reps))
+    return list(map(task, reps))
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
@@ -88,8 +82,6 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     counts0 = cfg.initial_counts(net)
     grid = cfg.grid_times()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-
     trajectories = run_replications(
         counts0, net, params, cfg.t_end, cfg.seed, grid,
         range(cfg.replications), workers=cfg.workers,
@@ -133,7 +125,6 @@ def run_meanfield(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     y0 = cfg.initial_fractions(net)
     params, traj = meanfield_run(cfg, net, y0, grid)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     regime = "symmetric" if params.is_symmetric_configuration else "unanalyzed-asymmetric"
     write_ode_trajectory(
         out / "meanfield.csv", traj, times=grid,
@@ -217,9 +208,7 @@ def run_converge(cfg: ExperimentConfig, out_dir: str | Path) -> ConvergenceRepor
         monotone_trend=records[-1].deviation < records[0].deviation,
         tolerance_heuristic="O(1/sqrt(N)) sampling fluctuation; heuristic, not a proved rate",
     )
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_manifest(out / "convergence_report.json", report.to_dict())
+    write_manifest(Path(out_dir) / "convergence_report.json", report.to_dict())
     return report
 
 

@@ -11,7 +11,8 @@ Counts are integers for micro trajectories and empty for ODE rows.  Floats
 are written with 17 significant digits so doubles round-trip losslessly.
 Rows are emitted densely: for every time, every (island, strain) pair in
 order.  Timestamps never appear in trajectory files; they live only in the
-run manifest.
+run manifest.  Each file is written beside its target, then renamed over it
+(`_write_atomic`), so a failed write leaves the previous file and no temporary file.
 """
 
 from __future__ import annotations
@@ -68,6 +69,18 @@ def _render(times, fractions, counts, metadata: dict) -> str:
     return buf.getvalue()
 
 
+def _write_atomic(path: str | Path, text: str) -> None:
+    """Write `text` beside `path` (creating its directory), then rename it over `path`."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_micro_trajectory(path: str | Path, traj: MicroTrajectory, extra_meta: dict | None = None) -> None:
     meta = {
         "kind": "micro",
@@ -79,7 +92,7 @@ def write_micro_trajectory(path: str | Path, traj: MicroTrajectory, extra_meta: 
         "sizes": " ".join(str(s) for s in traj.sizes),
     }
     meta.update(extra_meta or {})
-    Path(path).write_text(_render(traj.times, traj.fractions(), traj.counts, meta))
+    _write_atomic(path, _render(traj.times, traj.fractions(), traj.counts, meta))
 
 
 def write_ode_trajectory(
@@ -100,7 +113,7 @@ def write_ode_trajectory(
     meta.update({f"integrator_{k}": v for k, v in traj.integrator_metadata().items()})
     meta.update(extra_meta or {})
     t = traj.times if times is None else np.asarray(times, dtype=float)
-    Path(path).write_text(_render(t, states, None, meta))
+    _write_atomic(path, _render(t, states, None, meta))
 
 
 def read_trajectory(path: str | Path) -> TrajectoryData:
@@ -156,19 +169,8 @@ def read_trajectory(path: str | Path) -> TrajectoryData:
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:
-    """Write JSON to a temporary file beside `path`, then rename it over `path`.
-
-    A write that fails leaves the previous file, if any, and no temporary file.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    """Write `manifest` as indented JSON with sorted keys (see `_write_atomic`)."""
+    _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def read_manifest(path: str | Path) -> dict:
@@ -235,5 +237,5 @@ def emit_plot_data(
                     emit("stderr", np.zeros_like(stack[0]))
             if odes:
                 emit("ode", odes[0].fractions)
-    Path(out_path).write_text(out.getvalue())
+    _write_atomic(out_path, out.getvalue())
     return n_rows

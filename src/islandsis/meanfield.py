@@ -143,7 +143,6 @@ class StepControl:
     method: str = "rk45"
     rtol: float = 1e-9
     atol: float = 1e-12
-    h_init: float | None = None
     h_min: float = 1e-13
     fixed_step: float = 1e-3
     max_steps: int = 5_000_000
@@ -265,7 +264,7 @@ def integrate_field(
         if not h_nominal > 0:
             raise ValueError("fixed_step must be positive")
     elif control.method == "rk45":
-        h_nominal = control.h_init or min(0.05, t_end / 10)
+        h_nominal = min(0.05, t_end / 10)
     else:
         raise ValueError(f"unknown integrator method {control.method!r}")
 

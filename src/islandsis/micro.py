@@ -447,9 +447,7 @@ def node_level_simulate(
                 key = (INFECT, target, s)
                 totals[key] = totals.get(key, 0) + 1
             # else: blocked attempt, state unchanged
-    while gi < grid.size:
-        sampled[gi] = counts
-        gi += 1
+    # the last wait ran past t_end (or is infinite), so every grid time has its sample
     return MicroTrajectory(
         times=grid,
         counts=sampled,

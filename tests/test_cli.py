@@ -237,12 +237,15 @@ def test_config_error_exit_codes(tmp_path, capsys):
     ("meanfield", {"t_end": 5e-324}, "grid"),
     ("meanfield", {"strains": [{"gamma": 2.0, "mu": 5e-324}]}, "strains"),
     ("meanfield", {"integrator": {"method": "rk4", "fixed_step": 1e-300}}, "integrator.fixed_step"),
+    ("simulate", {"sizes": [2**70, 3]}, "sizes[0]"),
+    ("converge", {"size_schedule": [4, 8, 2**70]}, "size_schedule[2]"),
 ], ids=["strain-not-mapping-meanfield", "strain-not-mapping-classify", "mu-not-number",
         "fraction-not-number", "edge-not-pair", "compare-not-mapping", "values-not-rows",
         "value-not-number", "grid-entry-list", "grid-entry-string", "suite-not-name",
         "plot-output-not-string", "plot-input-not-string", "edge-label-list", "edge-label-string",
         "t_end-inf-simulate", "t_end-inf-meanfield", "t_end-nan", "taylor-order-too-high",
-        "topology-null", "non-string-key", "grid-collapses", "rates-overflow", "rk4-over-budget"])
+        "topology-null", "non-string-key", "grid-collapses", "rates-overflow", "rk4-over-budget",
+        "size-beyond-2**53", "schedule-size-beyond-2**53"])
 def test_wrong_type_exits_2_naming_the_field(tmp_path, capsys, command, overrides, field):
     cfg = write_cfg(tmp_path, **overrides)
     assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -267,6 +270,30 @@ def test_out_key_must_be_a_path(tmp_path, monkeypatch, capsys):
     assert main(["simulate", str(write_cfg(tmp_path, out=5))]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: out: "), err
+
+
+def _tree(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("command", ["simulate", "meanfield", "converge", "taylor", "suite"])
+@pytest.mark.parametrize("out", ["cfg.yaml", "cfg.yaml/sub"], ids=["a-file", "under-a-file"])
+def test_out_that_cannot_be_a_directory_exits_2_before_any_work(tmp_path, capsys, command, out):
+    cfg = write_cfg(tmp_path, size_schedule=[10, 20, 40], suite="taylor")
+    before = _tree(tmp_path)
+    assert main([command, str(cfg), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == f"config error: out: {cfg} is not a directory", err
+    assert _tree(tmp_path) == before
+
+
+def test_plotdata_output_naming_a_directory_exits_2(tmp_path, capsys):
+    (tmp_path / "out" / "plot").mkdir(parents=True)
+    cfg = write_cfg(tmp_path, plotdata={"output": "plot"})
+    assert main(["plotdata", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: plotdata.output: "), err
+    assert _tree(tmp_path / "out") == ["plot"]
 
 
 def test_plotdata_input_that_is_no_trajectory_exits_2(tmp_path, capsys):

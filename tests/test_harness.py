@@ -151,7 +151,7 @@ class TestTrajIO:
         path = tmp_path / "manifest.json"
         write_manifest(path, {"files": ["a.csv"]})
         before = path.read_bytes()
-        # json.dump has written part of the temporary file when it meets the set
+        # json.dumps fails on the set before any file is opened
         with pytest.raises(TypeError):
             write_manifest(path, {"files": ["b.csv"], "z": {1, 2}})
         assert path.read_bytes() == before
@@ -165,6 +165,40 @@ class TestTrajIO:
             write_manifest(path, {"files": ["c.csv"]})
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["manifest.json"]
+
+
+    @pytest.mark.parametrize("writer", ["micro", "ode", "plotdata"])
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, monkeypatch, writer):
+        net = bipartite_supernetwork(7, 5)
+        params = MeanFieldParams.symmetric(bipartite_supernetwork(1, 1), 2.0)
+        grid = np.linspace(0, 2, 5)
+        src = tmp_path / "ode.csv"
+        write_ode_trajectory(src, integrate(params, np.array([[0.3], [0.7]]), 2.0, t_eval=grid))
+
+        def write(path, n):  # n = 0, 1 write different bytes
+            if writer == "micro":
+                traj = simulate(MacroCounts(((3,), (1,)), (7, 5)), net,
+                                StrainParams.uniform(net, 2.0), 2.0, n, grid)
+                write_micro_trajectory(path, traj)
+            elif writer == "ode":
+                traj = integrate(params, np.array([[0.3], [0.1 * n]]), 2.0, t_eval=grid)
+                write_ode_trajectory(path, traj, times=grid)
+            else:
+                emit_plot_data([src] * n, "series", path)
+
+        path = tmp_path / "out" / "file.csv"
+        path.parent.mkdir()
+        write(path, 0)
+        before = path.read_bytes()
+
+        def no_rename(src, dst):
+            raise OSError("rename failed")
+
+        monkeypatch.setattr(trajio.os, "replace", no_rename)
+        with pytest.raises(OSError, match="rename failed"):
+            write(path, 1)
+        assert path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == ["file.csv"]
 
 
 class TestPlotData:
