@@ -8,7 +8,7 @@ structure, competitive exclusion).
 
 from .analysis import (
     Classification,
-    DominanceReport,
+    DominanceViolation,
     LocalSign,
     TaylorTable,
     UnmetHypothesisError,

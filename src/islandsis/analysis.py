@@ -2,14 +2,18 @@
 
 Covers the threshold classification (a strain persists on a d-regular
 symmetric configuration iff d*gamma > 1, at level 1 - 1/(d*gamma), and with
-several strains only the strictly fastest one can persist), order preservation
-of the flow between comparably ordered initial conditions, the hop-distance
-structure of Taylor coefficients (an island only responds to a perturbation
-n hops away through its nth and higher derivatives), and the sign of a
-function near a point where its first nonzero derivative is known.
+several strains only the strictly fastest one can persist; one verdict,
+:func:`classify_multi`, of which :func:`classify_single` is the one-strain
+case), order preservation of the flow between comparably ordered initial
+conditions (:func:`check_dominance` returns the earliest violation, or None),
+the hop-distance structure of Taylor coefficients (an island only responds
+to a perturbation n hops away through its nth and higher derivatives), and
+the sign of a function near a point where its first nonzero derivative is
+known.
 
 Operations whose hypotheses are not met refuse with
-:class:`UnmetHypothesisError` rather than guessing.
+:class:`UnmetHypothesisError` rather than guessing; so does a Taylor table
+whose coefficients overflow the float range.
 """
 
 from __future__ import annotations
@@ -53,14 +57,6 @@ class Classification:
     strain: int | None = None  # surviving strain label (persistence only)
     level: float = 0.0  # limiting infected fraction per island
 
-    def to_dict(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "threshold": self.threshold,
-            "strain": self.strain,
-            "level": self.level,
-        }
-
 
 def _require_regular_connected(net: SuperNetwork) -> int:
     if not is_regular(net):
@@ -73,27 +69,22 @@ def _require_regular_connected(net: SuperNetwork) -> int:
 def classify_single(net: SuperNetwork, gamma: float) -> Classification:
     """Single-strain verdict: persistence at 1 - 1/(d*gamma) iff d*gamma > 1.
 
-    Holds for any nonzero initial state on a connected regular supernetwork;
-    other networks are refused.
+    The one-strain case of :func:`classify_multi`: it holds for any nonzero
+    initial state on a connected regular supernetwork; other networks are
+    refused.
     """
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    d = _require_regular_connected(net)
-    th = d * gamma
-    if th > 1:
-        return Classification(PERSISTENCE, th, strain=1, level=equilibrium_fraction(d, gamma))
-    return Classification(EXTINCTION, th)
+    return classify_multi(net, [gamma])
 
 
 def classify_multi(net: SuperNetwork, gammas: Sequence[float]) -> Classification:
     """Multi-strain verdict assuming every strain starts present.
 
-    The strain with the strictly largest rate wins if above threshold; all
-    others die out.  Tied maxima fall outside the strict-ordering hypothesis
-    and are refused.
+    The strain with the strictly largest rate wins if above threshold, at
+    level 1 - 1/(d*gamma); all others die out.  Tied maxima fall outside the
+    strict-ordering hypothesis and are refused.
     """
     gam = [float(g) for g in gammas]
-    if not gam or any(g <= 0 for g in gam):
+    if not gam or any(not g > 0 for g in gam):
         raise ValueError("all strain rates must be positive")
     d = _require_regular_connected(net)
     best = max(gam)
@@ -111,29 +102,12 @@ def classify_multi(net: SuperNetwork, gammas: Sequence[float]) -> Classification
 
 @dataclass(frozen=True)
 class DominanceViolation:
+    """Where the ordering of two trajectories first fails on the grid, and by how much."""
+
     time: float
     island: int
     strain: int
     magnitude: float
-
-
-@dataclass(frozen=True)
-class DominanceReport:
-    """Outcome of an ordering-preservation check along two trajectories."""
-
-    holds: bool
-    violation: DominanceViolation | None = None
-
-    def to_dict(self) -> dict:
-        out: dict = {"holds": self.holds}
-        if self.violation is not None:
-            out["violation"] = {
-                "time": self.violation.time,
-                "island": self.violation.island,
-                "strain": self.violation.strain,
-                "magnitude": self.violation.magnitude,
-            }
-        return out
 
 
 def _ordering_signs(num_strains: int) -> np.ndarray:
@@ -171,8 +145,8 @@ def check_dominance(
     grid: int | Sequence[float] = 201,
     tol: float = 1e-9,
     control: StepControl | None = None,
-) -> DominanceReport:
-    """Integrate two ordered initial states together and test the ordering.
+) -> DominanceViolation | None:
+    """Integrate two ordered initial states together; the earliest ordering violation, or None.
 
     For one strain the hypothesis is z_low <= z_high componentwise; for two
     strains, strain-1 components of z_low sit below z_high while strain-2
@@ -190,10 +164,7 @@ def check_dominance(
         raise UnmetHypothesisError("initial states do not satisfy the ordering hypothesis")
     t_eval = np.linspace(0.0, t_end, grid) if isinstance(grid, int) else np.asarray(grid, float)
     traj = integrate(params, np.stack([lo, hi]), t_end, control=control, t_eval=t_eval)
-    violation = first_grid_violation(
-        traj.times, traj.states[:, 0], traj.states[:, 1], signs, tol
-    )
-    return DominanceReport(holds=violation is None, violation=violation)
+    return first_grid_violation(traj.times, traj.states[:, 0], traj.states[:, 1], signs, tol)
 
 
 MAX_TAYLOR_ORDER = 12  # conditioning degrades quickly beyond this
@@ -205,10 +176,20 @@ class TaylorTable:
 
     coeff has shape (n_max + 1, M, K); row 0 is the initial state.  The
     recursion only multiplies and adds existing values, so coefficients that
-    are zero for structural reasons come out as exact 0.0.
+    are zero for structural reasons come out as exact 0.0.  Every coefficient
+    is finite: a table with an order that overflows the float range is
+    refused.
     """
 
     coeff: np.ndarray
+
+    def __post_init__(self):
+        finite = np.isfinite(self.coeff).reshape(len(self.coeff), -1).all(axis=1)
+        if not finite.all():
+            raise UnmetHypothesisError(
+                f"Taylor coefficients of order {int(np.argmin(finite))} are not finite; "
+                "the rates are too large for the float range"
+            )
 
     @property
     def n_max(self) -> int:
@@ -248,19 +229,21 @@ def taylor_coefficients(params: MeanFieldParams, y0: np.ndarray, n_max: int) -> 
     m, kk = y0.shape
     c = np.zeros((n_max + 1, m, kk))
     c[0] = y0
-    if n_max >= 1:
-        c[1] = rhs(y0, params)
     s = np.zeros_like(c)  # s[n] = neighbor-weighted sums of c[n]
     t = np.zeros((n_max + 1, m))  # t[n] = per-island strain totals of c[n]
-    s[0] = params.pressure(c[0])
-    t[0] = c[0].sum(axis=-1)
-    for n in range(1, n_max):
-        s[n] = params.pressure(c[n])
-        t[n] = c[n].sum(axis=-1)
-        cross = np.zeros((m, kk))
-        for mm in range(1, n + 1):
-            cross += t[mm][:, None] * s[n - mm]
-        c[n + 1] = (s[n] * (1.0 - t[0][:, None]) - cross - c[n]) / (n + 1)
+    # Large rates overflow at some order; TaylorTable refuses the result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n_max >= 1:
+            c[1] = rhs(y0, params)
+        s[0] = params.pressure(c[0])
+        t[0] = c[0].sum(axis=-1)
+        for n in range(1, n_max):
+            s[n] = params.pressure(c[n])
+            t[n] = c[n].sum(axis=-1)
+            cross = np.zeros((m, kk))
+            for mm in range(1, n + 1):
+                cross += t[mm][:, None] * s[n - mm]
+            c[n + 1] = (s[n] * (1.0 - t[0][:, None]) - cross - c[n]) / (n + 1)
     return TaylorTable(coeff=c)
 
 

@@ -20,9 +20,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
-from ..analysis import UnmetHypothesisError, classify_multi, classify_single, taylor_coefficients
+import numpy as np
+
+from ..analysis import TaylorTable, UnmetHypothesisError, classify_multi, taylor_coefficients
 from ..meanfield import IntegrationError
 from ..topology import superdegree
 from .config import ConfigError, ExperimentConfig
@@ -58,7 +61,7 @@ def _cmd_meanfield(cfg: ExperimentConfig, out: Path) -> int:
 
 def _cmd_converge(cfg: ExperimentConfig, out: Path) -> int:
     report = run_converge(cfg, out)
-    _emit(report.to_dict())
+    _emit(asdict(report))
     return 0 if report.monotone_trend else 1
 
 
@@ -74,13 +77,8 @@ def _cmd_classify(cfg: ExperimentConfig, out: Path) -> int:
     if not params.is_symmetric_configuration:
         raise ConfigError("strains", "classification needs a symmetric configuration "
                                       "(equal sizes, one uniform rate per strain)")
-    gammas = [params.uniform_rate(k) for k in range(1, params.num_strains + 1)]
-    if len(gammas) == 1:
-        result = classify_single(net, gammas[0])
-    else:
-        result = classify_multi(net, gammas)
-    payload = dict(result.to_dict(), superdegree=superdegree(net, 1))
-    _emit(payload)
+    result = classify_multi(net, [params.uniform_rate(k) for k in range(1, params.num_strains + 1)])
+    _emit(dict(asdict(result), superdegree=superdegree(net, 1)))
     return 0
 
 
@@ -89,6 +87,10 @@ def _cmd_taylor(cfg: ExperimentConfig, out: Path) -> int:
     params = cfg.meanfield_params(net)
     y0 = cfg.initial_fractions(net)
     table = taylor_coefficients(params, y0, cfg.taylor_order)
+    # The recursion runs in normalized time mu*t, so y^(n)(0)/n! is row n times mu**n.
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = cfg.common_mu() ** np.arange(table.n_max + 1.0)
+        table = TaylorTable(table.coeff * scale[:, None, None])
     payload = {
         "n_max": table.n_max,
         "coefficients": {

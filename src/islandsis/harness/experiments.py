@@ -164,18 +164,12 @@ class ConvergenceRecord:
     deviation: float  # sup over grid times, islands, strains of |mean - ode|
     stderr: float  # standard error of the mean fraction at the sup location
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 @dataclass
 class ConvergenceReport:
     records: list[ConvergenceRecord]
     monotone_trend: bool  # deviation at the largest size < deviation at the smallest
     tolerance_heuristic: str
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def run_converge(cfg: ExperimentConfig, out_dir: str | Path) -> ConvergenceReport:
@@ -208,7 +202,7 @@ def run_converge(cfg: ExperimentConfig, out_dir: str | Path) -> ConvergenceRepor
         monotone_trend=records[-1].deviation < records[0].deviation,
         tolerance_heuristic="O(1/sqrt(N)) sampling fluctuation; heuristic, not a proved rate",
     )
-    write_manifest(Path(out_dir) / "convergence_report.json", report.to_dict())
+    write_manifest(Path(out_dir) / "convergence_report.json", asdict(report))
     return report
 
 

@@ -8,11 +8,12 @@ deterministic: randomized initial conditions come from a fixed seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from ..analysis import (
+    PERSISTENCE,
     LocalSign,
     UnmetHypothesisError,
     check_dominance,
@@ -46,9 +47,6 @@ class CheckResult:
     passed: bool
     detail: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "passed": self.passed, "detail": self.detail}
-
 
 @dataclass
 class SuiteReport:
@@ -63,7 +61,7 @@ class SuiteReport:
         return {
             "suite": self.suite,
             "passed": self.passed,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 
@@ -93,18 +91,17 @@ def _two_strain_pairs(rng, m: int, count: int):
 
 
 def _dominance_check(name, params, pairs, t_end, tol=1e-9) -> CheckResult:
-    worst = None
+    violation = None
     n = 0
     for lo, hi in pairs:
-        report = check_dominance(params, lo, hi, t_end, grid=101, tol=tol)
+        violation = check_dominance(params, lo, hi, t_end, grid=101, tol=tol)
         n += 1
-        if not report.holds:
-            worst = report.violation
+        if violation is not None:
             break
     detail = {"pairs": n, "t_end": t_end, "tolerance": tol}
-    if worst is not None:
-        detail["violation"] = report.to_dict()["violation"]
-    return CheckResult(name, worst is None, detail)
+    if violation is not None:
+        detail["violation"] = asdict(violation)
+    return CheckResult(name, violation is None, detail)
 
 
 def gap_derivative_profile(params: MeanFieldParams, y0, t_end=3.0, h=0.005):
@@ -227,23 +224,31 @@ def _classification_cases():
         yield complete_supernetwork(m, 1), f"complete{m}"
 
 
+def _classification_check(rate_cases, start) -> CheckResult:
+    """The t = 400 state of every case against its verdict; start(M, K) gives the initial state."""
+    worst = 0.0
+    cases = 0
+    for net, _ in _classification_cases():
+        for gammas in rate_cases:
+            cls = classify_multi(net, gammas)
+            kk = len(gammas)
+            y0 = start(net.num_islands, kk)
+            traj = integrate(MeanFieldParams.symmetric(net, gammas), y0, 400.0)
+            target = np.zeros(kk)
+            if cls.verdict == PERSISTENCE:
+                target[cls.strain - 1] = cls.level
+            worst = max(worst, float(np.abs(traj.final - target).max()))
+            cases += 1
+    return CheckResult("classification_matches_long_run", worst <= 1e-3,
+                       {"cases": cases, "worst_endpoint_error": worst, "tolerance": 1e-3})
+
+
 def _suite_regular_single() -> SuiteReport:
     rng = np.random.default_rng(20240603)
     checks = []
 
-    worst = 0.0
-    cases = 0
-    for net, label in _classification_cases():
-        for gamma in (0.3, 0.6, 1.2):
-            cls = classify_single(net, gamma)
-            y0 = rng.uniform(0.1, 0.6, (net.num_islands, 1))
-            traj = integrate(MeanFieldParams.symmetric(net, gamma), y0, 400.0)
-            worst = max(worst, float(np.abs(traj.final - cls.level).max()))
-            cases += 1
-    checks.append(
-        CheckResult("classification_matches_long_run", worst <= 1e-3,
-                    {"cases": cases, "worst_endpoint_error": worst, "tolerance": 1e-3})
-    )
+    checks.append(_classification_check(
+        [(0.3,), (0.6,), (1.2,)], lambda m, kk: rng.uniform(0.1, 0.6, (m, kk))))
 
     params6 = _cycle_params(6, 1.0)
     grid = np.linspace(0.0, 30.0, 61)
@@ -317,25 +322,8 @@ def _suite_regular_multivirus() -> SuiteReport:
                     {"threshold": cls_w.threshold, "remaining": level, "tolerance": 1e-4})
     )
 
-    worst = 0.0
-    cases = 0
-    for net, label in _classification_cases():
-        for gammas_case in ((1.2, 0.5), (0.9, 0.7, 0.2)):
-            cls_c = classify_multi(net, gammas_case)
-            kk = len(gammas_case)
-            traj = integrate(
-                MeanFieldParams.symmetric(net, gammas_case),
-                np.full((net.num_islands, kk), 0.5 / kk), 400.0,
-            )
-            target = np.zeros(kk)
-            if cls_c.verdict == "persistence":
-                target[cls_c.strain - 1] = cls_c.level
-            worst = max(worst, float(np.abs(traj.final - target[None, :]).max()))
-            cases += 1
-    checks.append(
-        CheckResult("classification_matches_long_run", worst <= 1e-3,
-                    {"cases": cases, "worst_endpoint_error": worst, "tolerance": 1e-3})
-    )
+    checks.append(_classification_check(
+        [(1.2, 0.5), (0.9, 0.7, 0.2)], lambda m, kk: np.full((m, kk), 0.5 / kk)))
 
     try:
         classify_multi(net4, (2.0, 2.0))

@@ -16,17 +16,21 @@ batched trajectories share one adaptive step sequence.  The state space (each
 island's strain fractions in a simplex) is forward invariant for the exact
 flow; the integrator asserts this after every accepted step instead of
 projecting, so a violation surfaces as an error rather than being masked.
+One rule, `_simplex_violation`, checks both a start (:func:`validate_state`)
+and every accepted step, and it refuses a NaN fraction.  Sample times are
+checked by the same rule as the simulators' sample grids.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .micro import StrainParams, edge_rows
+from .micro import StrainParams, _prepare_grid, edge_rows
 from .topology import SuperNetwork
 
 
@@ -114,14 +118,28 @@ class MeanFieldParams:
         return float(self.w[strain - 1, 0])
 
 
+def _simplex_violation(y: np.ndarray, slack: float) -> str | None:
+    """Why y leaves the product of per-island strain simplices by more than slack, or None."""
+    low = float(y.min())  # NaN when any fraction is NaN
+    high = float(y.sum(axis=-1).max())
+    if math.isnan(low):
+        return "fraction is NaN"
+    if low < -slack:
+        return f"fraction {low:.3e} below 0 beyond slack {slack:.1e}"
+    if high > 1 + slack:
+        return f"island total {high:.6f} above 1 beyond slack {slack:.1e}"
+    return None
+
+
 def validate_state(y: np.ndarray, params: MeanFieldParams, tol: float = 0.0) -> np.ndarray:
     """Check fractions lie in the product of simplices, within slack tol."""
     y = np.asarray(y, dtype=float)
     m = params.net.num_islands
     if y.shape[-2:] != (m, params.num_strains):
         raise ValueError(f"state must have trailing shape ({m}, {params.num_strains})")
-    if np.any(y < -tol) or np.any(y.sum(axis=-1) > 1 + tol):
-        raise ValueError("state outside the per-island strain simplex")
+    violation = _simplex_violation(y, tol)
+    if violation:
+        raise ValueError(f"state outside the per-island strain simplex: {violation}")
     return y
 
 
@@ -176,7 +194,8 @@ class OdeTrajectory:
         return meta
 
 
-# Dormand-Prince 5(4) tableau; row 7 doubles as the 5th-order weights.
+# Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6 (1980)).
+# Row 7 is the 5th-order weights, so the 7th stage's input is the 5th-order solution.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
     np.array([]),
@@ -187,11 +206,10 @@ _DP_A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_DP_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
-_DP_ERR = _DP_B5 - _DP_B4
+_DP_ERR = np.append(_DP_A[6], 0.0) - _DP_B4
 
 
 def _dp_step(f, t, y, h):
@@ -205,9 +223,8 @@ def _dp_step(f, t, y, h):
         for s in range(1, 7):
             ys = y + h * sum(a * ki for a, ki in zip(_DP_A[s], k))
             k.append(f(t + _DP_C[s] * h, ys))
-        y5 = y + h * sum(b * ki for b, ki in zip(_DP_B5, k) if b != 0.0)
         err = h * sum(e * ki for e, ki in zip(_DP_ERR, k) if e != 0.0)
-    return y5, err
+    return ys, err
 
 
 def _rk4_step(f, t, y, h):
@@ -242,11 +259,7 @@ def integrate_field(
         raise ValueError("t_end must be positive")
     y = np.array(y0, dtype=float)
     if t_eval is not None:
-        t_eval = np.asarray(t_eval, dtype=float)
-        if t_eval.ndim != 1 or t_eval.size == 0:
-            raise ValueError("t_eval must be a non-empty 1-d sequence")
-        if np.any(np.diff(t_eval) <= 0) or t_eval[0] < 0 or t_eval[-1] > t_end:
-            raise ValueError("t_eval must be strictly increasing within [0, t_end]")
+        t_eval = _prepare_grid(t_eval, t_end)
 
     times = [0.0]
     states = [y.copy()]
@@ -320,19 +333,6 @@ def integrate_field(
     )
 
 
-def _simplex_guard(slack: float):
-    def guard(y: np.ndarray) -> str | None:
-        low = float(y.min())
-        high = float(y.sum(axis=-1).max())
-        if low < -slack:
-            return f"fraction {low:.3e} below 0 beyond slack {slack:.1e}"
-        if high > 1 + slack:
-            return f"island total {high:.6f} above 1 beyond slack {slack:.1e}"
-        return None
-
-    return guard
-
-
 def integrate(
     params: MeanFieldParams,
     y0: np.ndarray,
@@ -348,11 +348,10 @@ def integrate(
     the invariant domain.
     """
     control = control or StepControl()
-    y0 = validate_state(y0, params, tol=10 * control.tolerance)
-    guard = _simplex_guard(10 * control.tolerance)
-    return integrate_field(
-        lambda t, y: rhs(y, params), y0, t_end, control=control, t_eval=t_eval, guard=guard
-    )
+    slack = 10 * control.tolerance
+    y0 = validate_state(y0, params, tol=slack)
+    return integrate_field(lambda t, y: rhs(y, params), y0, t_end, control=control,
+                           t_eval=t_eval, guard=partial(_simplex_violation, slack=slack))
 
 
 def reduced_scalar_solution(d: int, gamma: float, y0: float, t):
@@ -426,5 +425,5 @@ def reduced_bivirus_trajectory(
         t_end,
         control=control,
         t_eval=t_eval,
-        guard=_simplex_guard(10 * control.tolerance),
+        guard=partial(_simplex_violation, slack=10 * control.tolerance),
     )

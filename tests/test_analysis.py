@@ -82,6 +82,10 @@ class TestClassifyMulti:
         with pytest.raises(UnmetHypothesisError, match="tie"):
             classify_multi(BIP, (2.0, 2.0))
 
+    def test_nan_rate_refused(self):
+        with pytest.raises(ValueError, match="positive"):
+            classify_multi(BIP, [float("nan")])
+
     def test_winner_need_not_be_first(self):
         cls = classify_multi(BIP, (1.5, 4.0, 2.0))
         assert cls.strain == 2 and cls.level == pytest.approx(0.75)
@@ -91,18 +95,18 @@ class TestDominance:
     def test_equal_states_hold(self):
         params = MeanFieldParams.symmetric(BIP, 2.0)
         z = np.array([[0.2], [0.4]])
-        assert check_dominance(params, z, z, 10.0).holds
+        assert check_dominance(params, z, z, 10.0) is None
 
     def test_single_strain_pair_holds(self):
         params = MeanFieldParams.symmetric(BIP, 2.0)
         rep = check_dominance(params, np.array([[0.1], [0.2]]), np.array([[0.3], [0.2]]), 50.0)
-        assert rep.holds and rep.violation is None
+        assert rep is None
 
     def test_two_strain_pair_holds(self):
         params = MeanFieldParams.symmetric(BIP, (2.5, 1.5))
         lo = np.array([[0.1, 0.4], [0.2, 0.3]])
         hi = np.array([[0.2, 0.3], [0.2, 0.1]])
-        assert check_dominance(params, lo, hi, 100.0).holds
+        assert check_dominance(params, lo, hi, 100.0) is None
 
     def test_hypothesis_violation_refused(self):
         params = MeanFieldParams.symmetric(BIP, 2.0)
@@ -132,7 +136,7 @@ class TestDominance:
         for _ in range(10):
             hi = rng.uniform(0, 1, (6, 1))
             lo = hi * rng.uniform(0, 1, (6, 1))
-            assert check_dominance(params, lo, hi, 40.0, tol=1e-9).holds
+            assert check_dominance(params, lo, hi, 40.0, tol=1e-9) is None
 
 
 class TestTaylor:

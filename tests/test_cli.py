@@ -150,6 +150,28 @@ def test_taylor_subcommand(tmp_path, capsys):
     assert table["coefficients"]["island4:strain1"][:3] == [0.0, 0.0, 0.0]
 
 
+def test_taylor_coefficients_are_in_the_config_time(tmp_path):
+    # dy/dt of the mu = 2 system at (0.3, 0.1) is (2*0.1*0.7 - 2*0.3, 2*0.3*0.9 - 2*0.1)
+    cfg = write_cfg(tmp_path, sizes=10, strains=[{"gamma": 2.0, "mu": 2.0}],
+                    initial={"kind": "matrix", "values": [[0.3], [0.1]]})
+    out = tmp_path / "ty"
+    assert main(["taylor", str(cfg), "--out", str(out)]) == 0
+    coeff = json.loads((out / "taylor_table.json").read_text())["coefficients"]
+    rows = [coeff[f"island{i}:strain1"][n] for n in (1, 2) for i in (1, 2)]
+    assert rows == pytest.approx([-0.46, 0.34, 0.744, -0.856], rel=0, abs=1e-12)
+
+
+def test_taylor_overflow_exits_2_and_writes_nothing(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, topology={"generator": "cycle", "islands": 6}, sizes=10,
+                    strains=[{"gamma": 1e200}], taylor_order=12,
+                    initial={"kind": "single_island", "island": 1, "fraction": 0.5})
+    out = tmp_path / "ty"
+    assert main(["taylor", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: Taylor coefficients of order 2 "), err
+    assert not out.exists()
+
+
 def test_suite_subcommand(tmp_path, capsys):
     cfg = write_cfg(tmp_path, suite=["taylor", "appendix"])
     out = tmp_path / "suite"

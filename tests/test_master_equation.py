@@ -4,9 +4,13 @@ On a small state space the generator Q of the count-level Markov chain is
 built from `event_rates` over every state, and the distribution at time t is
 p(t) = p0 expm(Q t).  The final states of 10 000 replications of each
 simulator are tested against p(t) with a chi-square test; cells are pooled
-until each expects at least 5.  Seeds are fixed, one per simulator and case.
+until each expects at least 5.  The same replications' infection counts per
+(island, strain) are tested against their exact mean by t,
+p0 (int_0^t expm(Q u) du) r_inf with r_inf the infection rates per state,
+through a z-score per cell.  Seeds are fixed, one per simulator and case.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -20,6 +24,7 @@ from islandsis.topology import bipartite_supernetwork
 
 REPLICATIONS = 10_000
 P_FLOOR = 1e-3
+Z_BOUND = 4.0
 
 
 def count_states(sizes, num_strains):
@@ -30,17 +35,24 @@ def count_states(sizes, num_strains):
 
 
 def generator(net, params):
-    """The states and the generator Q of the count-level chain on net."""
+    """The states, the generator Q of the count-level chain on net, and the infection rates.
+
+    The infection rates are r_inf[a, i - 1, k - 1], the rate of infections of
+    strain k in island i from state a.
+    """
     states = count_states(net.sizes, params.num_strains)
     index = {s: a for a, s in enumerate(states)}
     q = np.zeros((len(states), len(states)))
+    r_inf = np.zeros((len(states), net.num_islands, params.num_strains))
     for a, s in enumerate(states):
         for (kind, i, k), rate in event_rates(MacroCounts(s, net.sizes), net, params).items():
             rows = [list(r) for r in s]
             rows[i - 1][k - 1] += 1 if kind == INFECT else -1
             q[a, index[tuple(map(tuple, rows))]] += float(rate)
+            if kind == INFECT:
+                r_inf[a, i - 1, k - 1] = float(rate)
         q[a, a] = -q[a].sum()
-    return states, q
+    return states, q, r_inf
 
 
 def pooled_chi_square(observed, expected, min_expected=5.0):
@@ -80,34 +92,69 @@ CASES = {
 }
 
 
-def final_states(simulator, net, params, counts0, t_end, seed):
+@functools.cache
+def replications(case, simulator):
+    """Final states and (R, M, K) infection counts of the case's replications, run once."""
+    net, gammas, mus, counts0, t_end, seeds = CASES[case]
+    params = StrainParams.uniform(net, gammas, mus)
     grid = [0.0, t_end]
     start, nodes = MacroCounts(counts0, net.sizes), node_states(counts0, net.sizes)
     finals = []
+    infections = np.zeros((REPLICATIONS, net.num_islands, params.num_strains))
     for rep in range(REPLICATIONS):
         if simulator == "count":
-            traj = simulate(start, net, params, t_end, seed, grid, rep=rep)
+            traj = simulate(start, net, params, t_end, seeds[simulator], grid, rep=rep)
         else:
-            traj = node_level_simulate(net, params, nodes, t_end, seed, grid, rep=rep)
+            traj = node_level_simulate(net, params, nodes, t_end, seeds[simulator], grid, rep=rep)
         finals.append(tuple(map(tuple, traj.counts[-1].tolist())))
-    return finals
+        for (kind, i, k), n in traj.event_totals.items():
+            if kind == INFECT:
+                infections[rep, i - 1, k - 1] = n
+    return finals, infections
+
+
+def exact_law(case):
+    """The case's states, Q, r_inf, start distribution p0 and horizon t."""
+    net, gammas, mus, counts0, t_end, _ = CASES[case]
+    params = StrainParams.uniform(net, gammas, mus)
+    states, q, r_inf = generator(net, params)
+    p0 = np.zeros(len(states))
+    p0[states.index(counts0)] = 1.0
+    return states, q, r_inf, p0, t_end
 
 
 @pytest.mark.parametrize("simulator", ["count", "node"])
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_final_states_follow_the_master_equation(case, simulator):
-    net, gammas, mus, counts0, t_end, seeds = CASES[case]
-    params = StrainParams.uniform(net, gammas, mus)
-    states, q = generator(net, params)
-    p0 = np.zeros(len(states))
-    p0[states.index(counts0)] = 1.0
+    states, q, _, p0, t_end = exact_law(case)
     pt = p0 @ expm(q * t_end)
     assert abs(pt.sum() - 1.0) < 1e-9
 
     index = {s: a for a, s in enumerate(states)}
     observed = np.zeros(len(states))
-    for s in final_states(simulator, net, params, counts0, t_end, seeds[simulator]):
+    for s in replications(case, simulator)[0]:
         observed[index[s]] += 1
     p = pooled_chi_square(observed, REPLICATIONS * pt)
     assert p >= P_FLOOR, f"{simulator}-level final states off the master equation: p = {p:.2e}"
 
+
+@pytest.mark.parametrize("simulator", ["count", "node"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_infection_counts_follow_the_master_equation(case, simulator):
+    _, q, r_inf, p0, t_end = exact_law(case)
+    # The top-right block of expm([[Q, I], [0, 0]] t) is int_0^t expm(Q u) du.
+    n = len(q)
+    augmented = np.zeros((2 * n, 2 * n))
+    augmented[:n, :n] = q
+    augmented[:n, n:] = np.eye(n)
+    occupation = p0 @ expm(augmented * t_end)[:n, n:]  # expected time in each state by t
+    expected = np.einsum("a,aik->ik", occupation, r_inf)
+
+    infections = replications(case, simulator)[1]
+    stderr = infections.std(axis=0, ddof=1) / np.sqrt(REPLICATIONS)
+    assert np.all(stderr > 0)
+    z = (infections.mean(axis=0) - expected) / stderr
+    assert np.abs(z).max() <= Z_BOUND, (
+        f"{simulator}-level infection counts off the master equation: z = {z.tolist()}, "
+        f"expected {expected.tolist()}"
+    )

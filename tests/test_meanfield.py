@@ -90,6 +90,11 @@ class TestRhs:
         with pytest.raises(ValueError):
             validate_state(np.zeros((3, 1)), params)
 
+    def test_nan_state_rejected(self):
+        params = MeanFieldParams.symmetric(BIP, 2.0)
+        with pytest.raises(ValueError, match="NaN"):
+            validate_state(np.array([[np.nan], [0.1]]), params)
+
     def test_batched_equals_loop(self):
         params = MeanFieldParams.symmetric(cycle_supernetwork(4, 1), (1.2, 0.5))
         rng = np.random.default_rng(0)
@@ -190,12 +195,23 @@ class TestIntegrate:
 
     def test_domain_guard_fails_run(self):
         # a field that walks out of the simplex must abort, not be projected
-        from islandsis.meanfield import _simplex_guard
+        from islandsis.meanfield import _simplex_violation
 
         with pytest.raises(IntegrationError, match="domain violation"):
             integrate_field(
                 lambda t, y: np.ones_like(y), np.array([[0.5]]), 2.0,
-                guard=_simplex_guard(1e-8),
+                guard=lambda y: _simplex_violation(y, 1e-8),
+            )
+
+    def test_domain_guard_refuses_nan(self):
+        # rk4 has no error estimate to reject a NaN step, so the guard must
+        from islandsis.meanfield import _simplex_violation
+
+        with pytest.raises(IntegrationError, match="NaN"):
+            integrate_field(
+                lambda t, y: np.full_like(y, np.nan), np.array([[0.5]]), 1.0,
+                control=StepControl(method="rk4", fixed_step=0.1),
+                guard=lambda y: _simplex_violation(y, 1e-8),
             )
 
 
