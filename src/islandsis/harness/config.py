@@ -62,8 +62,8 @@ import numpy as np
 import yaml
 
 from ..analysis import MAX_TAYLOR_ORDER
-from ..meanfield import MeanFieldParams, StepControl
-from ..micro import MacroCounts, StrainParams, edge_rows
+from ..meanfield import MeanFieldParams, StepControl, _simplex_violation
+from ..micro import MacroCounts, StrainParams, _prepare_grid, edge_rows
 from ..topology import (
     SuperNetwork,
     TopologyError,
@@ -152,7 +152,6 @@ class ExperimentConfig:
     """Validated configuration plus helpers to materialize model objects."""
 
     raw: dict
-    path: str | None = None
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
@@ -166,7 +165,7 @@ class ExperimentConfig:
         if not isinstance(data, dict):
             raise ConfigError("(file)", "top level must be a mapping")
         _string_keys(data)
-        return cls(raw=data, path=str(p))
+        return cls(raw=data)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -319,12 +318,12 @@ class ExperimentConfig:
         """Effective ODE rates: micro gamma over the common mu, times size ratios."""
         mu = self.common_mu()
         params = self.strain_params(net)
-        scaled = StrainParams(net, tuple(tuple(g / mu for g in rates) for rates in params.gamma),
-                              (1.0,) * params.num_strains)
-        effective = MeanFieldParams.from_micro(net, scaled)
-        if not np.all(np.isfinite(effective.w)):
-            raise ConfigError("strains", "the effective rates gamma/mu overflow the float range")
-        return effective
+        try:
+            scaled = StrainParams(net, tuple(tuple(g / mu for g in r) for r in params.gamma),
+                                  (1.0,) * params.num_strains)
+            return MeanFieldParams.from_micro(net, scaled)
+        except ValueError as exc:  # gamma/mu, or its size-scaled form, overflows
+            raise ConfigError("strains", str(exc)) from exc
 
     # -- initial conditions -------------------------------------------------
 
@@ -363,7 +362,7 @@ class ExperimentConfig:
                                                     "initial.fraction")
         else:
             raise ConfigError("initial.kind", f"unknown kind {kind!r}")
-        if np.any(y0 < 0) or np.any(y0.sum(axis=1) > 1):
+        if _simplex_violation(y0, 0.0):
             raise ConfigError("initial", "fractions must be >= 0 with island totals <= 1")
         return y0
 
@@ -380,14 +379,13 @@ class ExperimentConfig:
                 raise ConfigError("grid", "need at least 2 sample times")
             times = np.linspace(0.0, t_end, grid)
         elif isinstance(grid, list):
-            times = np.asarray([_as_number(t, f"grid[{n}]") for n, t in enumerate(grid)])
-            if times.size and times[-1] > t_end:
-                raise ConfigError("grid", f"last time {times[-1]} exceeds t_end {t_end}")
+            times = [_as_number(t, f"grid[{n}]") for n, t in enumerate(grid)]
         else:
             raise ConfigError("grid", f"expected int or list, got {type(grid).__name__}")
-        if times.size == 0 or times[0] < 0 or np.any(np.diff(times) <= 0):
-            raise ConfigError("grid", "times must be strictly increasing and >= 0")
-        return times
+        try:
+            return _prepare_grid(times, t_end)
+        except ValueError as exc:
+            raise ConfigError("grid", str(exc)) from exc
 
     def step_control(self) -> StepControl:
         section = self.raw.get("integrator", {})
@@ -395,13 +393,14 @@ class ExperimentConfig:
             raise ConfigError("integrator", "expected a mapping")
         kwargs: dict[str, Any] = {}
         if "method" in section:
-            if section["method"] not in ("rk45", "rk4"):
-                raise ConfigError("integrator.method", f"unknown method {section['method']!r}")
             kwargs["method"] = section["method"]
         for key in ("rtol", "atol", "fixed_step"):
             if key in section:
                 kwargs[key] = _as_positive_float(section[key], f"integrator.{key}")
-        return StepControl(**kwargs)
+        try:
+            return StepControl(**kwargs)
+        except ValueError as exc:  # the other keys are checked above, so the method is bad
+            raise ConfigError("integrator.method", str(exc)) from exc
 
     def suites(self) -> tuple[str, ...]:
         if "suite" not in self.raw:

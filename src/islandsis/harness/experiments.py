@@ -67,6 +67,8 @@ def run_replications(
     workers: int = 1,
 ) -> list[MicroTrajectory]:
     """Replications in index order regardless of execution order."""
+    if params.overflows:
+        raise ConfigError("strains", "event rates can overflow the float range")
     task = partial(simulate, counts0, net, params, t_end, seed, grid)
     workers = min(workers, len(reps))
     if workers > 1:

@@ -14,18 +14,19 @@ States are plain float arrays of shape (M, K); any number of leading batch
 dimensions is accepted by :func:`rhs` and :func:`integrate`, in which case all
 batched trajectories share one adaptive step sequence.  The state space (each
 island's strain fractions in a simplex) is forward invariant for the exact
-flow; the integrator asserts this after every accepted step instead of
-projecting, so a violation surfaces as an error rather than being masked.
+flow; the integrator itself checks every accepted step against it instead
+of projecting, so a violation surfaces as an error rather than being masked.
 One rule, `_simplex_violation`, checks both a start (:func:`validate_state`)
 and every accepted step, and it refuses a NaN fraction.  Sample times are
-checked by the same rule as the simulators' sample grids.
+checked by the same rule as the simulators' sample grids, and a
+:class:`StepControl` refuses a bad method, tolerance or step when it is built.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -44,7 +45,7 @@ class MeanFieldParams:
 
     Rates live on the directed island edges (src, dst) = net.in_edges: w has
     shape (K, E) and w[k-1, e] is the effective rate of strain k from island
-    src[e] into island dst[e].  Every edge carries a strictly positive rate.
+    src[e] into island dst[e].  Every edge carries a strictly positive, finite rate.
     """
 
     net: SuperNetwork
@@ -55,8 +56,8 @@ class MeanFieldParams:
         w = np.asarray(self.w, dtype=float)
         if w.shape != (self.num_strains, self.net.in_edges[0].size):
             raise ValueError("rates must have shape (num_strains, number of directed edges)")
-        if not np.all(w > 0):
-            raise ValueError("effective rates on edges must be strictly positive")
+        if not np.all((w > 0) & (w < np.inf)):
+            raise ValueError("effective rates on edges must be strictly positive and finite")
         # Stored edge-major, so w.T, the layout `pressure` multiplies by, is contiguous.
         w = w.T.copy().T
         w.setflags(write=False)
@@ -155,7 +156,7 @@ class StepControl:
 
     method "rk45" is an explicit embedded Dormand-Prince 5(4) pair with
     adaptive steps; "rk4" is the classical fixed-step fourth-order scheme for
-    deterministic regression output.
+    deterministic regression output.  Steps and tolerances are positive and finite.
     """
 
     method: str = "rk45"
@@ -165,6 +166,16 @@ class StepControl:
     fixed_step: float = 1e-3
     max_steps: int = 5_000_000
 
+    def __post_init__(self):
+        if self.method not in ("rk45", "rk4"):
+            raise ValueError(f"unknown integrator method {self.method!r}")
+        for name in ("rtol", "atol", "h_min", "fixed_step"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not self.max_steps >= 1:
+            raise ValueError(f"max_steps must be at least 1, got {self.max_steps!r}")
+
     @property
     def tolerance(self) -> float:
         return max(self.rtol, self.atol)
@@ -172,14 +183,11 @@ class StepControl:
 
 @dataclass
 class OdeTrajectory:
-    """States on strictly increasing times, plus integrator metadata."""
+    """States on strictly increasing times, plus the step control that made them."""
 
     times: np.ndarray  # (T,)
     states: np.ndarray  # (T, ...) matching the initial state's shape
-    method: str
-    rtol: float
-    atol: float
-    fixed_step: float | None
+    control: StepControl
     n_steps: int
     n_rejected: int
 
@@ -187,10 +195,14 @@ class OdeTrajectory:
     def final(self) -> np.ndarray:
         return self.states[-1]
 
+    @property
+    def method(self) -> str:
+        return self.control.method
+
     def integrator_metadata(self) -> dict:
-        meta = {"method": self.method, "rtol": self.rtol, "atol": self.atol}
-        if self.fixed_step is not None:
-            meta["fixed_step"] = self.fixed_step
+        meta = {"method": self.method, "rtol": self.control.rtol, "atol": self.control.atol}
+        if self.method == "rk4":
+            meta["fixed_step"] = self.control.fixed_step
         return meta
 
 
@@ -241,18 +253,19 @@ def integrate_field(
     t_end: float,
     control: StepControl | None = None,
     t_eval: Sequence[float] | None = None,
-    guard: Callable[[np.ndarray], str | None] | None = None,
 ) -> OdeTrajectory:
-    """Integrate an arbitrary smooth field dy/dt = f(t, y) on [0, t_end].
+    """Integrate a smooth field dy/dt = f(t, y) on [0, t_end] whose states are strain fractions.
 
-    With t_eval given, samples land exactly on those times (steps are clipped
-    to them, never interpolated); otherwise every accepted step is recorded.
-    `guard` is evaluated after each accepted step and its message, if any,
-    aborts the run.
+    The field must keep the product of per-island strain simplices (the last
+    axis of y indexes strains) forward invariant: every accepted state is
+    checked to stay within 10x the control tolerance of it.  With t_eval
+    given, samples land exactly on those times (steps are clipped to them,
+    never interpolated); otherwise every accepted step is recorded.
 
     Raises:
         IntegrationError: when the adaptive step underflows control.h_min,
-            the step budget is exhausted, or the guard reports a violation.
+            the step budget is exhausted, or an accepted state leaves the
+            simplices.
     """
     control = control or StepControl()
     if not t_end > 0:
@@ -272,19 +285,11 @@ def integrate_field(
             states.append(y.copy())
             ei = 1
 
-    if control.method == "rk4":
-        h_nominal = control.fixed_step
-        if not h_nominal > 0:
-            raise ValueError("fixed_step must be positive")
-    elif control.method == "rk45":
-        h_nominal = min(0.05, t_end / 10)
-    else:
-        raise ValueError(f"unknown integrator method {control.method!r}")
-
+    slack = 10 * control.tolerance
     t = 0.0
     n_steps = 0
     n_rejected = 0
-    h = h_nominal
+    h = control.fixed_step if control.method == "rk4" else min(0.05, t_end / 10)
     while t < t_end:
         if n_steps + n_rejected >= control.max_steps:
             raise IntegrationError(f"step budget {control.max_steps} exhausted at t={t:g}")
@@ -309,10 +314,9 @@ def integrate_field(
         t = t + h_try
         y = y_new
         n_steps += 1
-        if guard is not None:
-            msg = guard(y)
-            if msg:
-                raise IntegrationError(f"domain violation at t={t:g}: {msg}")
+        msg = _simplex_violation(y, slack)
+        if msg:
+            raise IntegrationError(f"domain violation at t={t:g}: {msg}")
         if record_all:
             times.append(t)
             states.append(y.copy())
@@ -324,10 +328,7 @@ def integrate_field(
     return OdeTrajectory(
         times=np.asarray(times),
         states=np.asarray(states),
-        method=control.method,
-        rtol=control.rtol,
-        atol=control.atol,
-        fixed_step=control.fixed_step if control.method == "rk4" else None,
+        control=control,
         n_steps=n_steps,
         n_rejected=n_rejected,
     )
@@ -348,10 +349,8 @@ def integrate(
     the invariant domain.
     """
     control = control or StepControl()
-    slack = 10 * control.tolerance
-    y0 = validate_state(y0, params, tol=slack)
-    return integrate_field(lambda t, y: rhs(y, params), y0, t_end, control=control,
-                           t_eval=t_eval, guard=partial(_simplex_violation, slack=slack))
+    y0 = validate_state(y0, params, tol=10 * control.tolerance)
+    return integrate_field(lambda t, y: rhs(y, params), y0, t_end, control=control, t_eval=t_eval)
 
 
 def reduced_scalar_solution(d: int, gamma: float, y0: float, t):
@@ -406,11 +405,11 @@ def reduced_bivirus_trajectory(
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    if min(gamma_x, gamma_y) <= 0:
+    if not (gamma_x > 0 and gamma_y > 0):
         raise ValueError("rates must be positive")
-    if x0 < 0 or y0 < 0 or x0 + y0 > 1:
+    z0 = np.array([x0, y0], dtype=float)
+    if _simplex_violation(z0, 0.0):
         raise ValueError("(x0, y0) must lie in the simplex")
-    control = control or StepControl()
 
     def f(t, z):
         free = 1.0 - z[..., 0] - z[..., 1]
@@ -419,11 +418,4 @@ def reduced_bivirus_trajectory(
             axis=-1,
         )
 
-    return integrate_field(
-        f,
-        np.array([x0, y0], dtype=float),
-        t_end,
-        control=control,
-        t_eval=t_eval,
-        guard=partial(_simplex_violation, slack=10 * control.tolerance),
-    )
+    return integrate_field(f, z0, t_end, control=control, t_eval=t_eval)

@@ -34,7 +34,9 @@ by :func:`edge_rows`.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -67,14 +69,26 @@ class StrainParams:
             raise ValueError("need at least one strain, and one rate row per healing rate")
         if any(len(row) != len(self.net.in_edge_pairs) for row in self.gamma):
             raise ValueError("each strain needs one rate per directed island edge")
-        if any(not m > 0 for m in self.mu):
-            raise ValueError("healing rates must be strictly positive")
-        if any(not g > 0 for row in self.gamma for g in row):
-            raise ValueError("infection rates must be strictly positive")
+        if any(not 0 < m < math.inf for m in self.mu):
+            raise ValueError("healing rates must be strictly positive and finite")
+        if any(not 0 < g < math.inf for row in self.gamma for g in row):
+            raise ValueError("infection rates must be strictly positive and finite")
 
     @property
     def num_strains(self) -> int:
         return len(self.mu)
+
+    @cached_property
+    def overflows(self) -> bool:
+        """Whether an event rate the simulators form, or their total, can exceed the float range.
+
+        Its bound: the sum over directed edges (j, i) of max_k gamma_k(j, i) * N_j * N_i,
+        plus max_k mu_k * sum N, in the rates' own arithmetic (exact for Fraction rates).
+        """
+        n = self.net.sizes
+        bound = sum(max(rates) * n[j - 1] * n[i - 1]
+                    for rates, (j, i) in zip(zip(*self.gamma), self.net.in_edge_pairs))
+        return not bound + max(self.mu) * sum(n) <= sys.float_info.max
 
     @classmethod
     def uniform(
@@ -261,10 +275,13 @@ class MicroTrajectory:
     sizes: tuple[int, ...]
     seed: int
     rep: int
-    n_events: int
     event_totals: dict[tuple[str, int, int], int]
     rng_algorithm: str = RNG_ALGORITHM
     simulator: str = "count-level"
+
+    @property
+    def n_events(self) -> int:
+        return sum(self.event_totals.values())
 
     def fractions(self) -> np.ndarray:
         return self.counts / np.asarray(self.sizes, dtype=float)[None, :, None]
@@ -296,7 +313,7 @@ def simulate(
 
     The trajectory is piecewise constant; grid times take the value that was
     current just before any event occurring exactly at that instant.  Output
-    is a deterministic function of (seed, rep).
+    is a deterministic function of (seed, rep).  Raises ValueError if `params.overflows`.
 
     Args:
         counts0: initial macrostate.
@@ -308,6 +325,8 @@ def simulate(
         rep: replication index mixed into the RNG key.
     """
     params.validate_for(net)
+    if params.overflows:
+        raise ValueError("event rates can overflow the float range")
     grid = _prepare_grid(sample_grid, t_end)
     _check_counts(counts0, net, params)
     rng = replication_rng(seed, rep)
@@ -318,7 +337,6 @@ def simulate(
     sampled = np.empty((grid.size, net.num_islands, params.num_strains), dtype=np.int64)
     gi = 0
     t = 0.0
-    n_events = 0
     totals: dict[tuple[int, int, int], int] = {}
     while True:
         events = _events(y, net.sizes, groups, params.mu)
@@ -340,7 +358,6 @@ def simulate(
         i, k, delta, _ = chosen
         y[i][k] += delta
         t = t_next
-        n_events += 1
         totals[chosen[:3]] = totals.get(chosen[:3], 0) + 1
     # the last wait ran past t_end (or is infinite), so every grid time has its sample
     return MicroTrajectory(
@@ -349,7 +366,6 @@ def simulate(
         sizes=net.sizes,
         seed=seed,
         rep=rep,
-        n_events=n_events,
         event_totals={(INFECT if d > 0 else HEAL, i + 1, k + 1): n
                       for (i, k, d), n in totals.items()},
     )
@@ -372,6 +388,8 @@ def node_level_simulate(
     changes) enter `event_totals`, making them comparable with `simulate`.
     """
     params.validate_for(net)
+    if params.overflows:
+        raise ValueError("event rates can overflow the float range")
     grid = _prepare_grid(sample_grid, t_end)
     rng = replication_rng(seed, rep)
 
@@ -399,7 +417,6 @@ def node_level_simulate(
     sampled = np.empty((grid.size, m, kk), dtype=np.int64)
     gi = 0
     t = 0.0
-    n_events = 0
     totals: dict[tuple[str, int, int], int] = {}
     while True:
         choices = []  # (island0, node, strain, target_island or 0 for heal, rate)
@@ -434,7 +451,6 @@ def node_level_simulate(
         if target == 0:
             states[i0][node] = 0
             counts[i0, s - 1] -= 1
-            n_events += 1
             key = (HEAL, i0 + 1, s)
             totals[key] = totals.get(key, 0) + 1
         else:
@@ -443,7 +459,6 @@ def node_level_simulate(
             if states[v0][victim] == 0:
                 states[v0][victim] = s
                 counts[v0, s - 1] += 1
-                n_events += 1
                 key = (INFECT, target, s)
                 totals[key] = totals.get(key, 0) + 1
             # else: blocked attempt, state unchanged
@@ -454,7 +469,6 @@ def node_level_simulate(
         sizes=net.sizes,
         seed=seed,
         rep=rep,
-        n_events=n_events,
         event_totals=totals,
         simulator="node-level",
     )

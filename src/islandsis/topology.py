@@ -52,17 +52,7 @@ class SuperNetwork:
 
     @cached_property
     def is_connected(self) -> bool:
-        if self.num_islands == 0:
-            return False
-        seen = {1}
-        queue = deque([1])
-        while queue:
-            u = queue.popleft()
-            for v in self.neighbors[u - 1]:
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return len(seen) == self.num_islands
+        return len(hop_distances(self, 1)) == self.num_islands
 
     @cached_property
     def in_edges(self) -> tuple[np.ndarray, np.ndarray]:

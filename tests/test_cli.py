@@ -261,13 +261,16 @@ def test_config_error_exit_codes(tmp_path, capsys):
     ("meanfield", {"integrator": {"method": "rk4", "fixed_step": 1e-300}}, "integrator.fixed_step"),
     ("simulate", {"sizes": [2**70, 3]}, "sizes[0]"),
     ("converge", {"size_schedule": [4, 8, 2**70]}, "size_schedule[2]"),
+    ("simulate", {"strains": [{"gamma": 1.0e308}]}, "strains"),
+    ("meanfield", {"integrator": {"method": "euler"}}, "integrator.method"),
 ], ids=["strain-not-mapping-meanfield", "strain-not-mapping-classify", "mu-not-number",
         "fraction-not-number", "edge-not-pair", "compare-not-mapping", "values-not-rows",
         "value-not-number", "grid-entry-list", "grid-entry-string", "suite-not-name",
         "plot-output-not-string", "plot-input-not-string", "edge-label-list", "edge-label-string",
         "t_end-inf-simulate", "t_end-inf-meanfield", "t_end-nan", "taylor-order-too-high",
         "topology-null", "non-string-key", "grid-collapses", "rates-overflow", "rk4-over-budget",
-        "size-beyond-2**53", "schedule-size-beyond-2**53"])
+        "size-beyond-2**53", "schedule-size-beyond-2**53", "event-rates-overflow",
+        "unknown-method"])
 def test_wrong_type_exits_2_naming_the_field(tmp_path, capsys, command, overrides, field):
     cfg = write_cfg(tmp_path, **overrides)
     assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2

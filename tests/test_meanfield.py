@@ -63,6 +63,12 @@ class TestParams:
         assert not mixed.is_symmetric_configuration
         assert MeanFieldParams.symmetric(BIP, 2.0).uniform_rate() == 2.0
 
+    def test_non_finite_rate_refused(self):
+        with pytest.raises(ValueError, match="strictly positive"):
+            MeanFieldParams.symmetric(BIP, np.inf)
+        with pytest.raises(ValueError, match="strictly positive"):
+            MeanFieldParams(BIP, 1, [[1.0, np.inf]])
+
     def test_uniform_rate_rejects_unknown_strain(self):
         params = MeanFieldParams.symmetric(BIP, (2.0, 0.5))
         assert params.uniform_rate(2) == 0.5
@@ -187,32 +193,35 @@ class TestIntegrate:
         assert np.array_equal(fixed.states, again.states)
 
     def test_step_underflow_reported(self):
+        # stiff decay inside the simplex: stability needs steps far below h_min
         with pytest.raises(IntegrationError, match="underflow"):
             integrate_field(
-                lambda t, y: y**2, np.array([2.0]), 1.0,
+                lambda t, y: -1e12 * (y - 0.25), np.array([0.5]), 1.0,
                 control=StepControl(rtol=1e-10, h_min=1e-10, max_steps=200_000),
             )
 
     def test_domain_guard_fails_run(self):
         # a field that walks out of the simplex must abort, not be projected
-        from islandsis.meanfield import _simplex_violation
-
         with pytest.raises(IntegrationError, match="domain violation"):
-            integrate_field(
-                lambda t, y: np.ones_like(y), np.array([[0.5]]), 2.0,
-                guard=lambda y: _simplex_violation(y, 1e-8),
-            )
+            integrate_field(lambda t, y: np.ones_like(y), np.array([[0.5]]), 2.0)
 
     def test_domain_guard_refuses_nan(self):
         # rk4 has no error estimate to reject a NaN step, so the guard must
-        from islandsis.meanfield import _simplex_violation
-
         with pytest.raises(IntegrationError, match="NaN"):
             integrate_field(
                 lambda t, y: np.full_like(y, np.nan), np.array([[0.5]]), 1.0,
                 control=StepControl(method="rk4", fixed_step=0.1),
-                guard=lambda y: _simplex_violation(y, 1e-8),
             )
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"method": "euler"}, {"rtol": -1.0}, {"rtol": np.nan}, {"atol": 0.0}, {"h_min": np.inf},
+    {"fixed_step": -1e-3}, {"max_steps": 0},
+], ids=["method", "rtol-negative", "rtol-nan", "atol-zero", "h_min-inf", "fixed_step-negative",
+        "max_steps-zero"])
+def test_step_control_refuses_bad_values(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        StepControl(**kwargs)
 
 
 @given(
@@ -312,3 +321,9 @@ class TestReducedBivirus:
     def test_simplex_validation(self):
         with pytest.raises(ValueError):
             reduced_bivirus_trajectory(1, 1.0, 1.0, 0.7, 0.5, 1.0)
+
+    def test_nan_input_refused(self):
+        with pytest.raises(ValueError, match="rates"):
+            reduced_bivirus_trajectory(1, np.nan, 2.0, 0.2, 0.2, 1.0)
+        with pytest.raises(ValueError, match="simplex"):
+            reduced_bivirus_trajectory(1, 3.0, 2.0, np.nan, 0.2, 1.0)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -236,3 +237,26 @@ def test_params_refuse_another_network_of_the_same_shape():
     # an equal network built separately is accepted
     twin = build_supernetwork([2, 2, 2, 2], [(2, 1), (4, 3)])
     assert sum(event_rates(counts, twin, params).values()) == sum(event_rates(counts, built_for, params).values())
+
+
+def test_params_refuse_a_non_finite_rate():
+    with pytest.raises(ValueError, match="strictly positive"):
+        StrainParams.uniform(BIP33, math.inf)
+    with pytest.raises(ValueError, match="strictly positive"):
+        StrainParams.uniform(BIP33, 1.0, math.inf)
+    # an exact rate beyond the float range is kept, and the simulators refuse it
+    assert StrainParams.uniform(BIP33, Fraction(10) ** 400, Fraction(1)).overflows
+    assert not unit_rates().overflows
+
+
+def test_simulators_refuse_rates_that_overflow():
+    # gamma * N_j * N_i is 1e310, beyond the float range; without the refusal
+    # the total rate is inf and the last event fires forever at zero wait
+    net = bipartite_supernetwork(10, 10)
+    params = StrainParams.uniform(net, 1e308)
+    assert params.overflows and not StrainParams.uniform(net, 1e30).overflows
+    grid = [0.0, 1.0]
+    with pytest.raises(ValueError, match="overflow"):
+        simulate(MacroCounts(((2,), (2,)), net.sizes), net, params, 1.0, 0, grid)
+    with pytest.raises(ValueError, match="overflow"):
+        node_level_simulate(net, params, [[1] + [0] * 9, [0] * 10], 1.0, 0, grid)
