@@ -20,7 +20,7 @@ A single YAML document drives every subcommand.  Full key set:
     t_end: <float>
     grid: <int> | [<float>, ...]  # sample count (linspace incl. 0) or explicit times
     replications: <int>           # micro runs; default 1
-    seed: <int>                   # master seed; default 0
+    seed: <int>                   # master seed in [0, 2**64); default 0
     workers: <int>                # parallel replications; default 1
     out: <path>                   # output directory, a non-empty string
     integrator:                   # optional overrides
@@ -63,7 +63,7 @@ import yaml
 
 from ..analysis import MAX_TAYLOR_ORDER
 from ..meanfield import MeanFieldParams, StepControl, _simplex_violation
-from ..micro import MacroCounts, StrainParams, _prepare_grid, edge_rows
+from ..micro import SEED_LIMIT, MacroCounts, StrainParams, _prepare_grid, edge_rows
 from ..topology import (
     SuperNetwork,
     TopologyError,
@@ -176,8 +176,8 @@ class ExperimentConfig:
     @property
     def seed(self) -> int:
         seed = self.raw.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-            raise ConfigError("seed", f"expected a non-negative integer, got {seed!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < SEED_LIMIT:
+            raise ConfigError("seed", f"expected an integer in [0, 2**64), got {seed!r}")
         return seed
 
     @property

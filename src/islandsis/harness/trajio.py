@@ -204,7 +204,7 @@ def emit_plot_data(
         data = [read_trajectory(p) for p in inputs]
         base_times = data[0].times
         for d in data[1:]:
-            if d.times.shape != base_times.shape or not np.allclose(d.times, base_times):
+            if not np.array_equal(d.times, base_times):
                 raise ValueError("plotdata inputs disagree on the time grid")
         _, m, kk = data[0].fractions.shape
         if any(d.fractions.shape[1:] != (m, kk) for d in data):

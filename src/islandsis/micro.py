@@ -21,9 +21,12 @@ count-level simulator (`simulate`) and a full node-level one
 provided.  They induce the same law on count trajectories.
 
 `event_rates` is the exact (Fraction-valued) specification of the chain, a
-`{(kind, island, strain): rate}` dict;
-`simulate` is one event loop that steps plain per-island counts in place on
-the same rate formula, checking its inputs once.
+`{(kind, island, strain): rate}` dict.  Both simulators run one exact event
+loop, `_gillespie`, which checks the rates and the grid, draws the waits and
+the choices and samples the grid.  Each supplies only its state and its
+moves: `simulate` steps plain per-island counts in place on the rate formula
+of `event_rates`, `node_level_simulate` steps node states and draws the
+target of each infection attempt.
 
 Rates are stored as one row per strain over the directed island edges
 `SuperNetwork.in_edges`, the layout `meanfield` uses for its effective rates.
@@ -253,6 +256,9 @@ def event_rates(counts: MacroCounts, net: SuperNetwork, params: StrainParams) ->
     return {(INFECT if d > 0 else HEAL, i + 1, k + 1): r for i, k, d, r in events}
 
 
+SEED_LIMIT = 2**64  # master seeds and replication indices lie in [0, SEED_LIMIT)
+
+
 def replication_rng(master_seed: int, rep: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (master seed, replication index).
 
@@ -260,9 +266,9 @@ def replication_rng(master_seed: int, rep: int = 0) -> np.random.Generator:
     word the replication index, so replications are independent streams and
     reproducible in any execution order.
     """
-    if master_seed < 0 or rep < 0:
-        raise ValueError("seed and replication index must be non-negative")
-    key = (master_seed & 0xFFFFFFFFFFFFFFFF) | (rep << 64)
+    if not (0 <= master_seed < SEED_LIMIT and 0 <= rep < SEED_LIMIT):
+        raise ValueError("seed and replication index must lie in [0, 2**64)")
+    key = master_seed | (rep << 64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -300,6 +306,44 @@ def _prepare_grid(sample_grid, t_end: float) -> np.ndarray:
     return grid
 
 
+def _gillespie(net, params, t_end: float, sample_grid, rng, state, moves, fire):
+    """Gillespie's direct method, the one event loop of both simulators; returns (grid, samples).
+
+    `moves()` gives the moves at `state` (tuples ending in their rate) and
+    their float total; `fire(move)` applies one.  Draws per event: the wait,
+    then a uniform picking a move by linear scan (the last move if rounding
+    overruns), then whatever `fire` draws.  A grid time takes the (M, K)
+    `state` current just before any event at that instant; the loop ends
+    once the next event falls past t_end.
+    """
+    params.validate_for(net)
+    if params.overflows:
+        raise ValueError("event rates can overflow the float range")
+    grid = _prepare_grid(sample_grid, t_end)
+    times = grid.tolist()
+    sampled = np.empty((grid.size, net.num_islands, params.num_strains), dtype=np.int64)
+    gi = 0
+    t = 0.0
+    while True:
+        options, total = moves()
+        t_next = t + rng.exponential(1.0 / total) if total > 0.0 else math.inf
+        while gi < grid.size and times[gi] < t_next:
+            sampled[gi] = state
+            gi += 1
+        if t_next > t_end:  # so every grid time has its sample
+            return grid, sampled
+        u = rng.random() * total
+        acc = 0.0
+        chosen = options[-1]
+        for move in options:
+            acc += float(move[-1])
+            if u < acc:
+                chosen = move
+                break
+        fire(chosen)
+        t = t_next
+
+
 def simulate(
     counts0: MacroCounts,
     net: SuperNetwork,
@@ -324,51 +368,25 @@ def simulate(
         sample_grid: strictly increasing times in [0, t_end].
         rep: replication index mixed into the RNG key.
     """
-    params.validate_for(net)
-    if params.overflows:
-        raise ValueError("event rates can overflow the float range")
-    grid = _prepare_grid(sample_grid, t_end)
     _check_counts(counts0, net, params)
-    rng = replication_rng(seed, rep)
-
     groups = _in_edge_groups(net, params.gamma)
     y = [list(row) for row in counts0.y]  # stepped in place; an event fires only if it fits
-    times = grid.tolist()
-    sampled = np.empty((grid.size, net.num_islands, params.num_strains), dtype=np.int64)
-    gi = 0
-    t = 0.0
     totals: dict[tuple[int, int, int], int] = {}
-    while True:
+
+    def moves():
         events = _events(y, net.sizes, groups, params.mu)
-        total = float(sum(r for *_, r in events))
-        t_next = t + rng.exponential(1.0 / total) if total > 0.0 else math.inf
-        while gi < grid.size and times[gi] < t_next:
-            sampled[gi] = y
-            gi += 1
-        if t_next > t_end:
-            break
-        u = rng.random() * total
-        acc = 0.0
-        chosen = events[-1]
-        for ev in events:
-            acc += float(ev[3])
-            if u < acc:
-                chosen = ev
-                break
-        i, k, delta, _ = chosen
+        return events, float(sum(e[-1] for e in events))
+
+    def fire(event):
+        i, k, delta, _ = event
         y[i][k] += delta
-        t = t_next
-        totals[chosen[:3]] = totals.get(chosen[:3], 0) + 1
-    # the last wait ran past t_end (or is infinite), so every grid time has its sample
-    return MicroTrajectory(
-        times=grid,
-        counts=sampled,
-        sizes=net.sizes,
-        seed=seed,
-        rep=rep,
-        event_totals={(INFECT if d > 0 else HEAL, i + 1, k + 1): n
-                      for (i, k, d), n in totals.items()},
-    )
+        totals[event[:3]] = totals.get(event[:3], 0) + 1
+
+    grid, sampled = _gillespie(net, params, t_end, sample_grid, replication_rng(seed, rep),
+                               y, moves, fire)
+    return MicroTrajectory(grid, sampled, net.sizes, seed, rep,
+                           {(INFECT if d > 0 else HEAL, i + 1, k + 1): n
+                            for (i, k, d), n in totals.items()})
 
 
 def node_level_simulate(
@@ -387,12 +405,6 @@ def node_level_simulate(
     advance time but change nothing.  Only effective events (actual state
     changes) enter `event_totals`, making them comparable with `simulate`.
     """
-    params.validate_for(net)
-    if params.overflows:
-        raise ValueError("event rates can overflow the float range")
-    grid = _prepare_grid(sample_grid, t_end)
-    rng = replication_rng(seed, rep)
-
     m = net.num_islands
     kk = params.num_strains
     states = [list(map(int, row)) for row in initial]
@@ -401,11 +413,7 @@ def node_level_simulate(
     if any(s < 0 or s > kk for row in states for s in row):
         raise ValueError("node states must be 0 (healthy) or a strain label")
 
-    counts = np.zeros((m, kk), dtype=np.int64)
-    for i, row in enumerate(states):
-        for s in row:
-            if s:
-                counts[i, s - 1] += 1
+    counts = [[row.count(k) for k in range(1, kk + 1)] for row in states]
 
     # Per infected node: healing plus one attempt clock per neighbor island.
     # Targets ascend per source, since in_edges groups edges by ascending target.
@@ -414,15 +422,13 @@ def node_level_simulate(
         for (u, v), g in zip(net.in_edge_pairs, rates):
             attempt[(k, u)].append((v, g))
 
-    sampled = np.empty((grid.size, m, kk), dtype=np.int64)
-    gi = 0
-    t = 0.0
+    rng = replication_rng(seed, rep)
     totals: dict[tuple[str, int, int], int] = {}
-    while True:
+
+    def moves():
         choices = []  # (island0, node, strain, target_island or 0 for heal, rate)
         total = 0.0
-        for i0 in range(m):
-            row = states[i0]
+        for i0, row in enumerate(states):
             for node, s in enumerate(row):
                 if not s:
                     continue
@@ -432,43 +438,22 @@ def node_level_simulate(
                 for v, g in attempt[(s, i0 + 1)]:
                     choices.append((i0, node, s, v, g))
                     total += g
-        t_next = t + (rng.exponential(1.0 / total) if total > 0 else math.inf)
-        while gi < grid.size and grid[gi] < t_next:
-            sampled[gi] = counts
-            gi += 1
-        if total <= 0 or t_next > t_end:
-            break
-        t = t_next
-        u = rng.random() * total
-        acc = 0.0
-        picked = choices[-1]
-        for c in choices:
-            acc += c[4]
-            if u < acc:
-                picked = c
-                break
-        i0, node, s, target, _ = picked
+        return choices, total
+
+    def fire(choice):
+        i0, node, s, target, _ = choice
         if target == 0:
             states[i0][node] = 0
-            counts[i0, s - 1] -= 1
+            counts[i0][s - 1] -= 1
             key = (HEAL, i0 + 1, s)
-            totals[key] = totals.get(key, 0) + 1
         else:
-            v0 = target - 1
-            victim = int(rng.integers(net.sizes[v0]))
-            if states[v0][victim] == 0:
-                states[v0][victim] = s
-                counts[v0, s - 1] += 1
-                key = (INFECT, target, s)
-                totals[key] = totals.get(key, 0) + 1
-            # else: blocked attempt, state unchanged
-    # the last wait ran past t_end (or is infinite), so every grid time has its sample
-    return MicroTrajectory(
-        times=grid,
-        counts=sampled,
-        sizes=net.sizes,
-        seed=seed,
-        rep=rep,
-        event_totals=totals,
-        simulator="node-level",
-    )
+            victim = int(rng.integers(net.sizes[target - 1]))
+            if states[target - 1][victim]:
+                return  # blocked attempt: time advanced, state unchanged
+            states[target - 1][victim] = s
+            counts[target - 1][s - 1] += 1
+            key = (INFECT, target, s)
+        totals[key] = totals.get(key, 0) + 1
+
+    grid, sampled = _gillespie(net, params, t_end, sample_grid, rng, counts, moves, fire)
+    return MicroTrajectory(grid, sampled, net.sizes, seed, rep, totals, simulator="node-level")

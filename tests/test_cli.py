@@ -396,6 +396,17 @@ def test_seed_override_changes_bytes(tmp_path):
     assert (a / "traj_rep0000.csv").read_bytes() != (b / "traj_rep0000.csv").read_bytes()
 
 
+def test_seed_beyond_64_bits_exits_2(tmp_path, capsys):
+    # the RNG key holds 64 bits of seed; 2**64 would silently rerun seed 0
+    cfg = write_cfg(tmp_path)
+    out = tmp_path / "out"
+    assert main(["simulate", str(cfg), "--out", str(out), "--seed", str(2**64)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: seed: "), err
+    assert not out.exists()
+    assert main(["simulate", str(cfg), "--out", str(out), "--seed", str(2**64 - 1)]) == 0
+
+
 def test_env_out_override(tmp_path, monkeypatch, capsys):
     cfg = write_cfg(tmp_path)
     envdir = tmp_path / "from_env"

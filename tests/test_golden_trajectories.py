@@ -1,10 +1,11 @@
-"""Golden hashes of count-level trajectories, so a change of the random stream fails loudly.
+"""Golden hashes of simulator trajectories, so a change of the random stream fails loudly.
 
 Each hash covers the sampled counts, the number of events and the per-event
-totals of one `simulate` call.  The values were recorded before the event loop
-was rewritten to step plain counts in place; a refactor of `simulate` must
-reproduce them bit for bit.  A deliberate stream change must update them and
-document the change.
+totals of one `simulate` or `node_level_simulate` call.  The count-level
+values were recorded before that event loop was rewritten to step plain
+counts in place, the node-level ones before both simulators were moved onto
+one shared event loop; a refactor of either simulator must reproduce them bit
+for bit.  A deliberate stream change must update them and document the change.
 """
 
 import hashlib
@@ -12,7 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from islandsis.micro import MacroCounts, StrainParams, edge_rows, simulate
+from islandsis.micro import MacroCounts, StrainParams, edge_rows, node_level_simulate, simulate
 from islandsis.topology import bipartite_supernetwork, build_supernetwork, cycle_supernetwork
 
 
@@ -24,11 +25,11 @@ def trajectory_digest(traj) -> str:
     return h.hexdigest()
 
 
-def _c9_shape(rep):
-    # C9: bipartite 3+3, gamma 2, mu 1, one infected node, t = 2
+def _c9_shape(run, seed, rep):
+    # C9: bipartite 3+3, gamma 2, mu 1, one infected node, t = 2; seed 11 count-level, 13 node-level
     net = bipartite_supernetwork(3, 3)
-    return simulate(MacroCounts(((1,), (0,)), (3, 3)), net, StrainParams.uniform(net, 2.0, 1.0),
-                    2.0, 11, [0.0, 2.0], rep=rep)
+    return run(net, StrainParams.uniform(net, 2.0, 1.0), MacroCounts(((1,), (0,)), (3, 3)),
+               2.0, seed, [0.0, 2.0], rep)
 
 
 def _converge_shape():
@@ -39,7 +40,7 @@ def _converge_shape():
                     np.linspace(0.0, 10.0, 21), rep=0)
 
 
-def _path_two_strains():
+def _path_two_strains(run):
     # unequal sizes and a distinct rate on every directed edge and strain
     net = build_supernetwork([2, 3, 2, 5], [(1, 2), (2, 3), (3, 4)])
     rates = {}
@@ -48,21 +49,35 @@ def _path_two_strains():
             rates[(k, j, i)] = 0.6 + 0.35 * e + 0.5 * k
     params = StrainParams(net, edge_rows(net, rates, (1, 2)), (1.0, 1.3))
     counts0 = MacroCounts(((1, 0), (0, 1), (1, 1), (0, 2)), net.sizes)
-    return simulate(counts0, net, params, 6.0, 7, np.linspace(0.0, 6.0, 13), rep=2)
+    return run(net, params, counts0, 6.0, 7, np.linspace(0.0, 6.0, 13), 2)
 
 
-def _cycle_two_strains():
+def _cycle_two_strains(run):
     net = cycle_supernetwork(8, 40)
     params = StrainParams.uniform(net, (1.8, 1.4), (1.0, 1.0))
     counts0 = MacroCounts(tuple((4, 2) if i % 2 else (1, 5) for i in range(8)), net.sizes)
-    return simulate(counts0, net, params, 3.0, 99, np.linspace(0.0, 3.0, 7), rep=1)
+    return run(net, params, counts0, 3.0, 99, np.linspace(0.0, 3.0, 7), 1)
+
+
+def _count_level(net, params, counts0, t_end, seed, grid, rep):
+    return simulate(counts0, net, params, t_end, seed, grid, rep=rep)
+
+
+def _node_level(net, params, counts0, t_end, seed, grid, rep):
+    # each island's infected nodes first, strain by strain, then its healthy ones
+    initial = [[k + 1 for k, c in enumerate(row) for _ in range(c)] + [0] * (n - sum(row))
+               for row, n in zip(counts0.y, counts0.sizes)]
+    return node_level_simulate(net, params, initial, t_end, seed, grid, rep=rep)
 
 
 GOLDEN = {
-    **{f"c9-rep{rep}": (lambda rep=rep: _c9_shape(rep)) for rep in range(10)},
+    **{f"c9-rep{rep}": (lambda rep=rep: _c9_shape(_count_level, 11, rep)) for rep in range(10)},
     "converge-1600": _converge_shape,
-    "path-2325-k2": _path_two_strains,
-    "cycle8x40-k2": _cycle_two_strains,
+    "path-2325-k2": lambda: _path_two_strains(_count_level),
+    "cycle8x40-k2": lambda: _cycle_two_strains(_count_level),
+    **{f"node-c9-rep{rep}": (lambda rep=rep: _c9_shape(_node_level, 13, rep)) for rep in range(10)},
+    "node-path-2325-k2": lambda: _path_two_strains(_node_level),
+    "node-cycle8x40-k2": lambda: _cycle_two_strains(_node_level),
 }
 
 GOLDEN_SHA256 = {
@@ -79,6 +94,18 @@ GOLDEN_SHA256 = {
     "converge-1600": "5504d4005863670b3532015b96f046f2bcb3349dd6c32b093fc87c9fc4e54148",
     "cycle8x40-k2": "13f305e874310277e50758fa4452a3265133723d035cdf6a1be595387218e11c",
     "path-2325-k2": "89ed00839eb2a5732f1cb9726cfa55152dcea32e8c034ff551d9ee32a03e4286",
+    "node-c9-rep0": "2d9da54ae8a1e00dd2d4c6866333304de478925fe7a05e053a80e1543a3c9087",
+    "node-c9-rep1": "e0394013e21a94078ae50bb2f7d8ef1b9c10d66a7177d8f006c8eba2ad844958",
+    "node-c9-rep2": "795e8b4b1ca8cbd89c6a1aab54995b832737ac95cc1c0863a1c705d0317f1f71",
+    "node-c9-rep3": "b6055b845461ca93218a4a355909113ebe396e5003318c833ba7ec4fb0cebf1c",
+    "node-c9-rep4": "2d9da54ae8a1e00dd2d4c6866333304de478925fe7a05e053a80e1543a3c9087",
+    "node-c9-rep5": "1aa16362d48161e74c11015fec7a95cffdc778bbe7edfece5585ae8452aa3b1a",
+    "node-c9-rep6": "2d9da54ae8a1e00dd2d4c6866333304de478925fe7a05e053a80e1543a3c9087",
+    "node-c9-rep7": "f211b01613366c214eb1b10d654012f3a7aebe647d991db2ac287a56dbc276da",
+    "node-c9-rep8": "db5f6b431afe35c7557c9ae9553f447b0ed10e273216c89c1abf6d3c7f88eb07",
+    "node-c9-rep9": "2d9da54ae8a1e00dd2d4c6866333304de478925fe7a05e053a80e1543a3c9087",
+    "node-cycle8x40-k2": "9a7fb7bc2fe8a11d89e1a52946a75621dcf3afd84a0e32930d4c94bf3bc08a05",
+    "node-path-2325-k2": "9000f5c38adc9187a2b024e9652a952bf084bdcf561c1e986e545ddb0b1008e1",
 }
 
 

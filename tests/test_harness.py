@@ -245,10 +245,14 @@ class TestPlotData:
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         self._write_ode(a)
         params = MeanFieldParams.symmetric(bipartite_supernetwork(1, 1), 2.0)
-        traj = integrate(params, np.array([[0.3], [0.7]]), 2.0, t_eval=np.linspace(0, 2, 9))
-        write_ode_trajectory(b, traj)
-        with pytest.raises(ValueError, match="time grid"):
-            emit_plot_data([a, b], "series", tmp_path / "p.csv")
+        # another point count, and the same 5 times stretched by a relative 5e-6: within
+        # np.allclose, yet another grid (files carry 17 digits, so equal grids read back equal)
+        stretch = 1 + 5e-6
+        for t_end, t_eval in ((2.0, np.linspace(0, 2, 9)),
+                              (2.0 * stretch, np.linspace(0, 2, 5) * stretch)):
+            write_ode_trajectory(b, integrate(params, np.array([[0.3], [0.7]]), t_end, t_eval=t_eval))
+            with pytest.raises(ValueError, match="time grid"):
+                emit_plot_data([a, b], "series", tmp_path / "p.csv")
 
 
 class TestRunSimulate:

@@ -25,6 +25,15 @@ def unit_rates(net=BIP33):
     return StrainParams.uniform(net, Fraction(1), Fraction(1))
 
 
+def run_simulator(simulator, counts0, net, params, t_end, seed, grid, rep=0):
+    """`simulate`, or `node_level_simulate` from node states with the same counts."""
+    if simulator == "count":
+        return simulate(counts0, net, params, t_end, seed, grid, rep=rep)
+    initial = [[k + 1 for k, c in enumerate(row) for _ in range(c)] + [0] * (n - sum(row))
+               for row, n in zip(counts0.y, counts0.sizes)]
+    return node_level_simulate(net, params, initial, t_end, seed, grid, rep=rep)
+
+
 class TestEventRates:
     def test_one_and_two_infected(self):
         # Y = (1, 2): pressure into island 1 is 2*gamma on 2/3 healthy targets
@@ -102,23 +111,25 @@ class TestSimulate:
         )
         assert traj.counts.sum() == 0 and traj.n_events == 0
 
-    def test_same_seed_bit_identical(self):
-        args = (MacroCounts(((2,), (1,)), (3, 3)), BIP33, StrainParams.uniform(BIP33, 2.0))
-        a = simulate(*args, 4.0, 99, np.linspace(0, 4, 9), rep=3)
-        b = simulate(*args, 4.0, 99, np.linspace(0, 4, 9), rep=3)
+    @pytest.mark.parametrize("simulator", ["count", "node"])
+    def test_same_seed_bit_identical(self, simulator):
+        args = (simulator, MacroCounts(((2,), (1,)), (3, 3)), BIP33, StrainParams.uniform(BIP33, 2.0))
+        a = run_simulator(*args, 4.0, 99, np.linspace(0, 4, 9), rep=3)
+        b = run_simulator(*args, 4.0, 99, np.linspace(0, 4, 9), rep=3)
         assert np.array_equal(a.counts, b.counts)
         assert a.event_totals == b.event_totals
-        c = simulate(*args, 4.0, 99, np.linspace(0, 4, 9), rep=4)
+        c = run_simulator(*args, 4.0, 99, np.linspace(0, 4, 9), rep=4)
         assert not np.array_equal(a.counts, c.counts)
 
-    def test_grid_validation(self):
+    @pytest.mark.parametrize("simulator", ["count", "node"])
+    def test_grid_validation(self, simulator):
         counts = MacroCounts.zeros(BIP33, 1)
         with pytest.raises(ValueError):
-            simulate(counts, BIP33, unit_rates(), 1.0, 0, [0.0, 2.0])
+            run_simulator(simulator, counts, BIP33, unit_rates(), 1.0, 0, [0.0, 2.0])
         with pytest.raises(ValueError):
-            simulate(counts, BIP33, unit_rates(), 1.0, 0, [0.5, 0.5])
+            run_simulator(simulator, counts, BIP33, unit_rates(), 1.0, 0, [0.5, 0.5])
         with pytest.raises(ValueError):
-            simulate(counts, BIP33, unit_rates(), -1.0, 0, [0.0])
+            run_simulator(simulator, counts, BIP33, unit_rates(), -1.0, 0, [0.0])
 
     def test_tracks_ode_at_large_sizes(self):
         # One replication at N=2000 per island should sit near the stable
@@ -135,13 +146,15 @@ class TestSimulate:
         ode = integrate(MeanFieldParams.symmetric(net, 2.0), np.full((2, 1), 0.5), 10.0)
         assert np.abs(traj.fractions()[-1] - ode.final).max() < 0.05
 
-    def test_event_bookkeeping_on_a_two_strain_path(self):
+    @pytest.mark.parametrize("simulator", ["count", "node"])
+    def test_event_bookkeeping_on_a_two_strain_path(self, simulator):
         # Counts move only by the recorded events, and never leave [0, N]
         net = build_supernetwork([2, 3, 2], [(1, 2), (2, 3)])
         params = StrainParams.uniform(net, (1.5, 0.7), (1.0, 1.3))
         counts0 = MacroCounts(((1, 0), (0, 1), (1, 1)), (2, 3, 2))
         for rep in range(5):
-            traj = simulate(counts0, net, params, 4.0, 11, np.linspace(0, 4, 17), rep=rep)
+            traj = run_simulator(simulator, counts0, net, params, 4.0, 11, np.linspace(0, 4, 17),
+                                 rep=rep)
             assert traj.n_events > 0
             assert traj.n_events == sum(traj.event_totals.values())
             for i in range(3):
@@ -199,11 +212,8 @@ class TestNodeLevel:
 def test_without_healing_counts_never_drop(simulator):
     # With negligible healing the only events that fire are infections
     params = StrainParams.uniform(BIP33, 2.0, 1e-12)
-    grid = np.linspace(0, 6, 25)
-    if simulator == "count":
-        traj = simulate(MacroCounts(((1,), (0,)), (3, 3)), BIP33, params, 6.0, 8, grid)
-    else:
-        traj = node_level_simulate(BIP33, params, [[1, 0, 0], [0, 0, 0]], 6.0, 8, grid)
+    traj = run_simulator(simulator, MacroCounts(((1,), (0,)), (3, 3)), BIP33, params, 6.0, 8,
+                         np.linspace(0, 6, 25))
     totals = traj.counts.sum(axis=(1, 2))
     assert np.all(np.diff(totals) >= 0)
     assert traj.n_events > 0 and {kind for kind, _, _ in traj.event_totals} == {INFECT}
@@ -215,8 +225,11 @@ def test_replication_rng_streams_are_stable():
     c = replication_rng(123, 1).random(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    with pytest.raises(ValueError):
-        replication_rng(-1)
+    # Philox keeps 64 bits per key word; a larger seed would alias a smaller one's stream
+    replication_rng(2**64 - 1, 2**64 - 1).random()
+    for seed, rep in ((-1, 0), (5, -1), (2**64 + 5, 0), (2**64, 0), (0, 2**64)):
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            replication_rng(seed, rep)
 
 
 def test_params_refuse_another_network_of_the_same_shape():
