@@ -42,11 +42,13 @@ goes, and so is `null` wherever a key has a default.  Mapping keys are
 strings.  The output directory resolves as --out flag, then the
 ISLANDSIS_OUT environment variable, then the `out` key (default "./out").
 
-Every key above is read and checked here, and nowhere else.  Bad input
-raises ConfigError naming the offending field path; so do the run directory
-`compare` reads (on `out`) and the files `plotdata` merges (on
-`plotdata.inputs`) when they cannot be parsed.  The CLI exits with status 2
-on a ConfigError.
+Every key above is read and checked here, and nowhere else, each kind of
+value by one rule: integers by `_as_int`, numbers by `_as_number`, mappings
+by `_mapping` and names by `_choice`.  The generators are the keys of
+GENERATORS.  Bad input raises ConfigError naming the offending field path; so
+do the run directory `compare` reads (on `out`) and the files `plotdata`
+merges (on `plotdata.inputs`) when they cannot be parsed.  The CLI exits with
+status 2 on a ConfigError.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from ..topology import (
     cycle_supernetwork,
     star_supernetwork,
 )
+from .trajio import PLOT_MODES
 
 SUITE_NAMES = (
     "bipartite-single",
@@ -98,18 +101,17 @@ def _need(mapping: dict, key: str, path: str) -> Any:
     return mapping[key]
 
 
-def _as_positive_int(value, path: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
-        raise ConfigError(path, f"expected a positive integer, got {value!r}")
+def _as_int(value, path: str, low: int = 1, high: float = math.inf) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or not low <= value <= high:
+        bounds = f"in {low}..{high}" if high < math.inf else f">= {low}"
+        raise ConfigError(path, f"expected an integer {bounds}, got {value!r}")
     return value
 
 
 def _as_size(value, path: str) -> int:
     # Up to 2**53 the f*N rounding of initial counts and the N_j/N_i rate ratios
     # are exact in float64, and the int64 counts are far from overflow.
-    if _as_positive_int(value, path) > 2**53:
-        raise ConfigError(path, f"expected an island size of at most 2**53, got {value}")
-    return value
+    return _as_int(value, path, 1, 2**53)
 
 
 def _as_number(value, path: str) -> float:
@@ -135,6 +137,19 @@ def _as_path(value, path: str) -> str:
     return value
 
 
+def _mapping(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"expected a mapping, got {type(value).__name__}")
+    return value
+
+
+def _choice(value, path: str, choices) -> str:
+    # The str test comes first: `in` on a dict hashes the value, and a list is unhashable.
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(path, f"expected one of {'|'.join(choices)}, got {value!r}")
+    return value
+
+
 def _string_keys(data, path: str = "") -> None:
     """Refuse a mapping key that is not a string anywhere in the document."""
     if isinstance(data, dict):
@@ -145,6 +160,28 @@ def _string_keys(data, path: str = "") -> None:
     elif isinstance(data, list):
         for n, value in enumerate(data):
             _string_keys(value, f"{path}[{n}]")
+
+
+def _custom_network(topo: dict, sizes: tuple[int, ...]) -> SuperNetwork:
+    edges = _need(topo, "edges", "topology")
+    if not isinstance(edges, list):
+        raise ConfigError("topology.edges", "expected a list of [j, i] pairs")
+    for n, e in enumerate(edges):
+        if not isinstance(e, list) or len(e) != 2:
+            raise ConfigError(f"topology.edges[{n}]", f"expected a [j, i] pair, got {e}")
+    return build_supernetwork(sizes, [
+        tuple(_as_int(x, f"topology.edges[{n}][{a}]") for a, x in enumerate(e))
+        for n, e in enumerate(edges)])
+
+
+# Generator name -> builder(topology section, island sizes); only `custom` reads the section.
+GENERATORS = {
+    "cycle": lambda topo, sizes: cycle_supernetwork(len(sizes), sizes),
+    "complete": lambda topo, sizes: complete_supernetwork(len(sizes), sizes),
+    "star": lambda topo, sizes: star_supernetwork(len(sizes), sizes),
+    "bipartite": lambda topo, sizes: bipartite_supernetwork(*sizes),
+    "custom": _custom_network,
+}
 
 
 @dataclass
@@ -162,23 +199,19 @@ class ExperimentConfig:
             data = yaml.safe_load(p.read_text())
         except yaml.YAMLError as exc:
             raise ConfigError("(file)", f"not valid YAML: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("(file)", "top level must be a mapping")
-        _string_keys(data)
-        return cls(raw=data)
+        return cls.from_dict(data)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
+        """The one way in: the document must be a mapping with string keys throughout."""
+        _string_keys(_mapping(data, "(file)"))
         return cls(raw=dict(data))
 
     # -- core sections ----------------------------------------------------
 
     @property
     def seed(self) -> int:
-        seed = self.raw.get("seed", 0)
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < SEED_LIMIT:
-            raise ConfigError("seed", f"expected an integer in [0, 2**64), got {seed!r}")
-        return seed
+        return _as_int(self.raw.get("seed", 0), "seed", 0, SEED_LIMIT - 1)
 
     @property
     def t_end(self) -> float:
@@ -186,18 +219,16 @@ class ExperimentConfig:
 
     @property
     def replications(self) -> int:
-        return _as_positive_int(self.raw.get("replications", 1), "replications")
+        return _as_int(self.raw.get("replications", 1), "replications")
 
     @property
     def workers(self) -> int:
-        return _as_positive_int(self.raw.get("workers", 1), "workers")
+        return _as_int(self.raw.get("workers", 1), "workers")
 
-    def _topology(self) -> tuple[dict, Any]:
-        """The topology section and its generator."""
-        topo = _need(self.raw, "topology", "")
-        if not isinstance(topo, dict):
-            raise ConfigError("topology", "expected a mapping")
-        return topo, _need(topo, "generator", "topology")
+    def _topology(self) -> tuple[dict, str]:
+        """The topology section and its generator, a key of GENERATORS."""
+        topo = _mapping(_need(self.raw, "topology", ""), "topology")
+        return topo, _choice(_need(topo, "generator", "topology"), "topology.generator", GENERATORS)
 
     def num_islands(self) -> int:
         topo, gen = self._topology()
@@ -208,20 +239,18 @@ class ExperimentConfig:
             if not isinstance(sizes, list):
                 raise ConfigError("sizes", "custom topology needs an explicit size list")
             return len(sizes)
-        return _as_positive_int(_need(topo, "islands", "topology"), "topology.islands")
+        return _as_int(_need(topo, "islands", "topology"), "topology.islands")
 
     def sizes(self, override_uniform: int | None = None) -> tuple[int, ...]:
         m = self.num_islands()
         if override_uniform is not None:
             return (override_uniform,) * m
         sizes = _need(self.raw, "sizes", "")
-        if isinstance(sizes, int) and not isinstance(sizes, bool):
-            return (_as_size(sizes, "sizes"),) * m
         if isinstance(sizes, list):
             if len(sizes) != m:
                 raise ConfigError("sizes", f"expected {m} entries, got {len(sizes)}")
             return tuple(_as_size(s, f"sizes[{i}]") for i, s in enumerate(sizes))
-        raise ConfigError("sizes", f"expected int or list, got {type(sizes).__name__}")
+        return (_as_size(sizes, "sizes"),) * m
 
     def size_schedule(self) -> tuple[int, ...]:
         sched = _need(self.raw, "size_schedule", "")
@@ -236,30 +265,9 @@ class ExperimentConfig:
         topo, gen = self._topology()
         sizes = self.sizes(size_override)
         try:
-            if gen == "cycle":
-                return cycle_supernetwork(len(sizes), sizes)
-            if gen == "complete":
-                return complete_supernetwork(len(sizes), sizes)
-            if gen == "star":
-                return star_supernetwork(len(sizes), sizes)
-            if gen == "bipartite":
-                return bipartite_supernetwork(sizes[0], sizes[1])
-            if gen == "custom":
-                edges = _need(topo, "edges", "topology")
-                if not isinstance(edges, list):
-                    raise ConfigError("topology.edges", "expected a list of [j, i] pairs")
-                for n, e in enumerate(edges):
-                    if not isinstance(e, list) or len(e) != 2:
-                        raise ConfigError(f"topology.edges[{n}]", f"expected a [j, i] pair, got {e}")
-                return build_supernetwork(sizes, [
-                    tuple(_as_positive_int(x, f"topology.edges[{n}][{a}]") for a, x in enumerate(e))
-                    for n, e in enumerate(edges)])
+            return GENERATORS[gen](topo, sizes)
         except TopologyError as exc:
             raise ConfigError("topology", str(exc)) from exc
-        raise ConfigError(
-            "topology.generator",
-            f"unknown generator {gen!r} (cycle|complete|star|bipartite|custom)",
-        )
 
     # -- strains -----------------------------------------------------------
 
@@ -271,9 +279,7 @@ class ExperimentConfig:
         specs = []
         for k, section in enumerate(strains):
             path = f"strains[{k}]"
-            if not isinstance(section, dict):
-                raise ConfigError(path, "expected a mapping with gamma (and optional mu)")
-            g = _need(section, "gamma", path)
+            g = _need(_mapping(section, path), "gamma", path)
             specs.append((path, g, _as_positive_float(section.get("mu", 1.0), f"{path}.mu")))
         return specs
 
@@ -328,12 +334,11 @@ class ExperimentConfig:
     # -- initial conditions -------------------------------------------------
 
     def initial_fractions(self, net: SuperNetwork) -> np.ndarray:
-        section = _need(self.raw, "initial", "")
-        if not isinstance(section, dict):
-            raise ConfigError("initial", "expected a mapping")
-        kind = section.get("kind", "uniform")
+        section = _mapping(_need(self.raw, "initial", ""), "initial")
         m = net.num_islands
         kk = len(self.strain_specs())
+        kind = _choice(section.get("kind", "uniform"), "initial.kind",
+                       ("uniform", "matrix", "single_island"))
         if kind == "uniform":
             frac = _need(section, "fraction", "initial")
             row = (
@@ -352,16 +357,14 @@ class ExperimentConfig:
                                   f"expected {m} rows of {kk} fractions, got {values!r}")
             y0 = np.array([[_as_number(f, f"initial.values[{i}][{k}]") for k, f in enumerate(row)]
                            for i, row in enumerate(values)])
-        elif kind == "single_island":
-            island = _as_positive_int(_need(section, "island", "initial"), "initial.island")
-            strain = _as_positive_int(section.get("strain", 1), "initial.strain")
+        else:  # single_island
+            island = _as_int(_need(section, "island", "initial"), "initial.island")
+            strain = _as_int(section.get("strain", 1), "initial.strain")
             if island > m or strain > kk:
                 raise ConfigError("initial", f"island {island}/strain {strain} out of range")
             y0 = np.zeros((m, kk))
             y0[island - 1, strain - 1] = _as_number(_need(section, "fraction", "initial"),
                                                     "initial.fraction")
-        else:
-            raise ConfigError("initial.kind", f"unknown kind {kind!r}")
         if _simplex_violation(y0, 0.0):
             raise ConfigError("initial", "fractions must be >= 0 with island totals <= 1")
         return y0
@@ -374,23 +377,17 @@ class ExperimentConfig:
     def grid_times(self) -> np.ndarray:
         t_end = self.t_end
         grid = self.raw.get("grid", 101)
-        if isinstance(grid, int) and not isinstance(grid, bool):
-            if grid < 2:
-                raise ConfigError("grid", "need at least 2 sample times")
-            times = np.linspace(0.0, t_end, grid)
-        elif isinstance(grid, list):
+        if isinstance(grid, list):
             times = [_as_number(t, f"grid[{n}]") for n, t in enumerate(grid)]
         else:
-            raise ConfigError("grid", f"expected int or list, got {type(grid).__name__}")
+            times = np.linspace(0.0, t_end, _as_int(grid, "grid", 2))
         try:
             return _prepare_grid(times, t_end)
         except ValueError as exc:
             raise ConfigError("grid", str(exc)) from exc
 
     def step_control(self) -> StepControl:
-        section = self.raw.get("integrator", {})
-        if not isinstance(section, dict):
-            raise ConfigError("integrator", "expected a mapping")
+        section = _mapping(self.raw.get("integrator", {}), "integrator")
         kwargs: dict[str, Any] = {}
         if "method" in section:
             kwargs["method"] = section["method"]
@@ -403,19 +400,10 @@ class ExperimentConfig:
             raise ConfigError("integrator.method", str(exc)) from exc
 
     def suites(self) -> tuple[str, ...]:
-        if "suite" not in self.raw:
-            return SUITE_NAMES
-        suite = self.raw["suite"]
-        if isinstance(suite, str):
-            named = [("suite", suite)]
-        elif isinstance(suite, list):
-            named = [(f"suite[{n}]", name) for n, name in enumerate(suite)]
-        else:
-            raise ConfigError("suite", f"expected a suite name or a list of names, got {suite!r}")
-        for path, name in named:
-            if name not in SUITE_NAMES:
-                raise ConfigError(path, f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-        return tuple(name for _, name in named)
+        suite = self.raw.get("suite", list(SUITE_NAMES))
+        named = ([(f"suite[{n}]", name) for n, name in enumerate(suite)]
+                 if isinstance(suite, list) else [("suite", suite)])
+        return tuple(_choice(name, path, SUITE_NAMES) for path, name in named)
 
     # -- subcommand inputs ----------------------------------------------------
 
@@ -426,27 +414,19 @@ class ExperimentConfig:
 
     @property
     def taylor_order(self) -> int:
-        order = self.raw.get("taylor_order", 6)
-        if not isinstance(order, int) or isinstance(order, bool) or not 0 <= order <= MAX_TAYLOR_ORDER:
-            raise ConfigError("taylor_order",
-                              f"expected an integer in 0..{MAX_TAYLOR_ORDER}, got {order!r}")
-        return order
+        return _as_int(self.raw.get("taylor_order", 6), "taylor_order", 0, MAX_TAYLOR_ORDER)
 
     @property
     def max_deviation(self) -> float | None:
         """The `compare` pass/fail threshold, None when the config sets none."""
-        section = self.raw.get("compare", {})
-        if not isinstance(section, dict):
-            raise ConfigError("compare", f"expected a mapping, got {section!r}")
+        section = _mapping(self.raw.get("compare", {}), "compare")
         if "max_deviation" not in section:
             return None
         return _as_number(section["max_deviation"], "compare.max_deviation")
 
     def plotdata(self) -> tuple[list[str], str, str]:
         """(input files, mode, output file name) of the `plotdata` section."""
-        section = self.raw.get("plotdata", {})
-        if not isinstance(section, dict):
-            raise ConfigError("plotdata", "expected a mapping")
+        section = _mapping(self.raw.get("plotdata", {}), "plotdata")
         inputs = section.get("inputs", [])
         if not isinstance(inputs, list):
             raise ConfigError("plotdata.inputs", "expected a list of trajectory files")
@@ -454,9 +434,7 @@ class ExperimentConfig:
         missing = [p for p in inputs if not Path(p).is_file()]
         if missing:
             raise ConfigError("plotdata.inputs", f"missing input files: {missing}")
-        mode = section.get("mode", "series")
-        if mode not in ("series", "overlay"):
-            raise ConfigError("plotdata.mode", f"expected series|overlay, got {mode!r}")
+        mode = _choice(section.get("mode", "series"), "plotdata.mode", PLOT_MODES)
         output = _as_path(section.get("output", "plotdata.csv"), "plotdata.output")
         if output in (".", "..") or Path(output).name != output:
             raise ConfigError("plotdata.output", f"expected a file name, got {output!r}")

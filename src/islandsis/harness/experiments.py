@@ -149,14 +149,10 @@ def sup_deviation(mean_fractions: np.ndarray, ode_states: np.ndarray):
     return float(gap.flat[flat]), np.unravel_index(flat, gap.shape)
 
 
-def mean_vs_ode(cfg: ExperimentConfig, net: SuperNetwork, fractions: np.ndarray, grid: np.ndarray):
-    """|mean - ODE| over (T, M, K) for replicated fractions (R, T, M, K), its sup and argmax.
-
-    The ODE starts from the exact fractions the config's rounded initial counts realize.
-    """
+def mean_vs_ode(fractions: np.ndarray, ode_states: np.ndarray):
+    """|mean - ODE| over (T, M, K) for replicated fractions (R, T, M, K), its sup and argmax."""
     mean = fractions.mean(axis=0)
-    _, ode = meanfield_run(cfg, net, cfg.initial_counts(net).fractions(), grid)
-    return (np.abs(mean - ode.states), *sup_deviation(mean, ode.states))
+    return (np.abs(mean - ode_states), *sup_deviation(mean, ode_states))
 
 
 @dataclass
@@ -178,7 +174,8 @@ def run_converge(cfg: ExperimentConfig, out_dir: str | Path) -> ConvergenceRepor
     """Empirical mean trajectories against the ODE across a size schedule.
 
     For each size, R replications start from the rounded counts and the ODE
-    starts from the exact fractions those counts realize.  Replication RNG
+    starts from the exact fractions those counts realize.  The ODE runs first,
+    so a bad ODE setting is refused before any replication.  Replication RNG
     streams are disjoint across sizes.
     """
     sizes = cfg.size_schedule()
@@ -189,12 +186,13 @@ def run_converge(cfg: ExperimentConfig, out_dir: str | Path) -> ConvergenceRepor
         net = cfg.build_net(size_override=size)
         params = cfg.strain_params(net)
         counts0 = cfg.initial_counts(net)
+        _, ode = meanfield_run(cfg, net, counts0.fractions(), grid)
         trajectories = run_replications(
             counts0, net, params, cfg.t_end, cfg.seed, grid,
             range(si * reps, (si + 1) * reps), workers=cfg.workers,
         )
         fractions = np.stack([t.fractions() for t in trajectories])  # (R, T, M, K)
-        _, deviation, (t_idx, i_idx, k_idx) = mean_vs_ode(cfg, net, fractions, grid)
+        _, deviation, (t_idx, i_idx, k_idx) = mean_vs_ode(fractions, ode.states)
         stderr = float(
             fractions[:, t_idx, i_idx, k_idx].std(ddof=1) / np.sqrt(reps)
         ) if reps > 1 else 0.0
@@ -240,8 +238,9 @@ def run_compare(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     The run must have simulated the config's rates and island sizes from the
     config's initial counts, as its manifest records them, and sampled every
     replication on one grid within t_end.  Its replications are averaged and
-    compared in sup norm with the ODE on the same grid (see `mean_vs_ode`).  A
-    `compare.max_deviation` config key makes the comparison pass/fail.
+    compared in sup norm with the ODE on the same grid, started from the exact
+    fractions the initial counts realize.  A `compare.max_deviation` config key
+    makes the comparison pass/fail.
     """
     limit = cfg.max_deviation
     out = Path(out_dir)
@@ -253,7 +252,8 @@ def run_compare(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         raise ConfigError("strains", f"the run in {out} simulated other rates than the config's")
     if any(d.metadata.get("sizes") != " ".join(map(str, net.sizes)) for d in data):
         raise ConfigError("sizes", f"the run in {out} simulated island sizes other than {net.sizes}")
-    if manifest.get("initial_counts") != [list(row) for row in cfg.initial_counts(net).y]:
+    counts0 = cfg.initial_counts(net)
+    if manifest.get("initial_counts") != [list(row) for row in counts0.y]:
         raise ConfigError("initial", f"the run in {out} started from other counts than the config's")
     times = data[0].times
     shape = (times.size, net.num_islands, params.num_strains)
@@ -261,7 +261,8 @@ def run_compare(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         raise ConfigError("out", f"the trajectories in {out} differ in their times, islands or strains")
     if times[-1] > cfg.t_end:
         raise ConfigError("t_end", f"the run in {out} sampled up to t = {times[-1]}, beyond t_end")
-    gap, deviation, _ = mean_vs_ode(cfg, net, np.stack([d.fractions for d in data]), times)
+    _, ode = meanfield_run(cfg, net, counts0.fractions(), times)
+    gap, deviation, _ = mean_vs_ode(np.stack([d.fractions for d in data]), ode.states)
     per_series = {
         f"island{i + 1}:strain{k + 1}": float(gap[:, i, k].max())
         for i in range(gap.shape[1])

@@ -182,6 +182,7 @@ def read_manifest(path: str | Path) -> dict:
 
 
 PLOT_HEADER = ("time", "series", "value")
+PLOT_MODES = ("series", "overlay")
 
 
 def emit_plot_data(
@@ -194,7 +195,7 @@ def emit_plot_data(
     series per (island, strain); at most one ODE input adds an "ode" series.
     All inputs must share one time grid.  Returns the number of data rows.
     """
-    if mode not in ("series", "overlay"):
+    if mode not in PLOT_MODES:
         raise ValueError(f"unknown plotdata mode {mode!r}")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")

@@ -134,6 +134,11 @@ def edge_rows(
                          "needs a strictly positive rate") from None
 
 
+def _is_count(value) -> bool:
+    """Whether value is an integer, numpy's included, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _per_strain(value) -> list:
     if isinstance(value, (list, tuple, np.ndarray)):
         return list(value)
@@ -144,8 +149,9 @@ def _per_strain(value) -> list:
 class MacroCounts:
     """Per-island, per-strain infected counts; the Markov macrostate.
 
-    y[i-1][k-1] is the number of k-infected nodes in island i.  Row sums may
-    not exceed the island size (one strain per node).
+    y[i-1][k-1] is the number of k-infected nodes in island i, an integer.
+    Every island has one count per strain, and row sums may not exceed the
+    island size (one strain per node).
     """
 
     y: tuple[tuple[int, ...], ...]
@@ -154,7 +160,11 @@ class MacroCounts:
     def __post_init__(self):
         if len(self.y) != len(self.sizes):
             raise ValueError("counts and sizes disagree on the number of islands")
+        if len({len(row) for row in self.y}) > 1:
+            raise ValueError("every island needs one count per strain")
         for row, n in zip(self.y, self.sizes):
+            if not all(_is_count(c) for c in row):
+                raise ValueError(f"counts must be integers, got {row}")
             if any(c < 0 for c in row):
                 raise ValueError(f"negative count in {row}")
             if sum(row) > n:
@@ -407,11 +417,11 @@ def node_level_simulate(
     """
     m = net.num_islands
     kk = params.num_strains
+    if any(not _is_count(s) or not 0 <= s <= kk for row in initial for s in row):
+        raise ValueError("node states must be integers: 0 (healthy) or a strain label")
     states = [list(map(int, row)) for row in initial]
     if len(states) != m or any(len(row) != n for row, n in zip(states, net.sizes)):
         raise ValueError("initial node states do not match island sizes")
-    if any(s < 0 or s > kk for row in states for s in row):
-        raise ValueError("node states must be 0 (healthy) or a strain label")
 
     counts = [[row.count(k) for k in range(1, kk + 1)] for row in states]
 

@@ -182,6 +182,16 @@ def test_suite_subcommand(tmp_path, capsys):
     assert report["passed"] is True
 
 
+def test_suite_runs_all_six_suites_by_default(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert main(["suite", str(cfg), "--out", str(tmp_path / "suite")]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert len(lines) == 27 and all(line.startswith("[PASS] ") for line in lines), lines
+    assert {line.split()[1].split(":")[0] for line in lines} == {
+        "bipartite-single", "bipartite-bivirus", "regular-single", "regular-multivirus",
+        "taylor", "appendix"}
+
+
 def test_converge_subcommand(tmp_path):
     cfg = write_cfg(
         tmp_path,
@@ -209,6 +219,18 @@ def test_converge_trend_failure_maps_to_exit_1(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "run_converge", lambda cfg, out: fake)
     cfg = write_cfg(tmp_path, size_schedule=[10, 20, 40])
     assert main(["converge", str(cfg), "--out", str(tmp_path / "c")]) == 1
+
+
+def test_converge_refuses_a_bad_integrator_before_simulating(tmp_path, monkeypatch, capsys):
+    from islandsis.harness import experiments
+
+    calls = []
+    monkeypatch.setattr(experiments, "simulate", lambda *args, **kwargs: calls.append(args))
+    cfg = write_cfg(tmp_path, size_schedule=[10, 20, 40], integrator={"rtol": -1.0})
+    assert main(["converge", str(cfg), "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: integrator.rtol: "), err
+    assert calls == []
 
 
 def test_config_error_exit_codes(tmp_path, capsys):
@@ -263,6 +285,10 @@ def test_config_error_exit_codes(tmp_path, capsys):
     ("converge", {"size_schedule": [4, 8, 2**70]}, "size_schedule[2]"),
     ("simulate", {"strains": [{"gamma": 1.0e308}]}, "strains"),
     ("meanfield", {"integrator": {"method": "euler"}}, "integrator.method"),
+    # the generator is checked before the section is read further
+    ("simulate", {"topology": {"generator": "foo"}}, "topology.generator"),
+    ("simulate", {"topology": {"generator": [1]}}, "topology.generator"),
+    ("simulate", {"topology": {"generator": None}}, "topology.generator"),
 ], ids=["strain-not-mapping-meanfield", "strain-not-mapping-classify", "mu-not-number",
         "fraction-not-number", "edge-not-pair", "compare-not-mapping", "values-not-rows",
         "value-not-number", "grid-entry-list", "grid-entry-string", "suite-not-name",
@@ -270,7 +296,7 @@ def test_config_error_exit_codes(tmp_path, capsys):
         "t_end-inf-simulate", "t_end-inf-meanfield", "t_end-nan", "taylor-order-too-high",
         "topology-null", "non-string-key", "grid-collapses", "rates-overflow", "rk4-over-budget",
         "size-beyond-2**53", "schedule-size-beyond-2**53", "event-rates-overflow",
-        "unknown-method"])
+        "unknown-method", "unknown-generator", "generator-list", "generator-null"])
 def test_wrong_type_exits_2_naming_the_field(tmp_path, capsys, command, overrides, field):
     cfg = write_cfg(tmp_path, **overrides)
     assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2

@@ -105,6 +105,25 @@ class TestConfig:
         with pytest.raises(ConfigError, match="size_schedule"):
             cfg_with(size_schedule=[100, 100, 400]).size_schedule()
 
+    def test_from_dict_refuses_a_non_mapping(self):
+        with pytest.raises(ConfigError, match=r"^\(file\): "):
+            ExperimentConfig.from_dict([BASE])
+
+    def test_from_dict_refuses_a_non_string_key(self):
+        raw = dict(BASE, initial={"kind": "uniform", 1: 0.2})
+        with pytest.raises(ConfigError, match="^initial: "):
+            ExperimentConfig.from_dict(raw)
+
+    @pytest.mark.parametrize("overrides, read, field", [
+        ({"plotdata": {"mode": "stacked"}}, ExperimentConfig.plotdata, "plotdata.mode"),
+        ({"grid": 1}, ExperimentConfig.grid_times, "grid"),
+        ({"initial": [0.2]}, lambda cfg: cfg.initial_fractions(cfg.build_net()), "initial"),
+        ({"plotdata": ["a.csv"]}, ExperimentConfig.plotdata, "plotdata"),
+    ], ids=["unknown-plot-mode", "grid-count-1", "initial-not-mapping", "plotdata-not-mapping"])
+    def test_refusal_names_the_field(self, overrides, read, field):
+        with pytest.raises(ConfigError, match=f"^{field}: "):
+            read(cfg_with(**overrides))
+
     def test_canonical_hash_is_order_insensitive(self):
         assert canonical_hash({"a": 1, "b": 2}) == canonical_hash({"b": 2, "a": 1})
 

@@ -78,6 +78,19 @@ class TestMacroCounts:
         with pytest.raises(ValueError):
             MacroCounts(((-1,), (0,)), (3, 3))
 
+    @pytest.mark.parametrize("y, message", [
+        (((1.5,), (0,)), "integers"),
+        (((True,), (0,)), "integers"),
+        (((1, 0), (0,)), "one count per strain"),
+    ], ids=["fraction", "bool", "ragged"])
+    def test_non_integer_or_ragged_counts_refused(self, y, message):
+        with pytest.raises(ValueError, match=message):
+            MacroCounts(y, (3, 3))
+
+    def test_numpy_integer_counts_accepted(self):
+        counts = MacroCounts(((np.int64(1),), (np.int32(0),)), (3, 3))
+        assert simulate(counts, BIP33, unit_rates(), 1.0, 0, [0.0]).counts[0, 0, 0] == 1
+
     def test_from_fractions_rounds(self):
         counts = MacroCounts.from_fractions(BIP33, [[0.34], [0.5]])
         assert counts.y == ((1,), (2,))
@@ -179,6 +192,16 @@ class TestNodeLevel:
             node_level_simulate(BIP33, unit_rates(), [[0, 0], [0, 0, 0]], 1.0, 0, [0.0])
         with pytest.raises(ValueError):
             node_level_simulate(BIP33, unit_rates(), [[2, 0, 0], [0, 0, 0]], 1.0, 0, [0.0])
+
+    @pytest.mark.parametrize("state", [1.7, True], ids=["fraction", "bool"])
+    def test_non_integer_node_state_refused(self, state):
+        with pytest.raises(ValueError, match="integers"):
+            node_level_simulate(BIP33, unit_rates(), [[state, 0, 0], [0, 0, 0]], 1.0, 0, [0.0])
+
+    def test_numpy_integer_node_states_accepted(self):
+        initial = np.array([[1, 0, 0], [0, 0, 0]])
+        traj = node_level_simulate(BIP33, unit_rates(), initial, 1.0, 0, [0.0])
+        assert traj.counts[0, 0, 0] == 1
 
     def test_mean_trajectory_matches_count_level(self):
         # Same law: empirical means over 200 replications agree within 3 SE.
