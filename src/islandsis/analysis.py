@@ -221,7 +221,9 @@ def taylor_coefficients(params: MeanFieldParams, y0: np.ndarray, n_max: int) -> 
         (n+1) c_{n+1} = S_n * (1 - T_0) - sum_{m=1..n} T_m * S_{n-m} - c_n
 
     with S_n[i,k] the neighbor-weighted sum of c_n and T_m[i] the per-island
-    strain total of c_m.  Row 1 therefore equals rhs(y0) exactly.
+    strain total of c_m, in the time unit of params.mu.  Row n is then scaled
+    by mu**n, so the table is in the caller's time; at mu = 1, row 1 equals
+    rhs(y0) exactly.
     """
     if not 0 <= n_max <= MAX_TAYLOR_ORDER:
         raise ValueError(f"n_max must be within 0..{MAX_TAYLOR_ORDER}")
@@ -244,6 +246,7 @@ def taylor_coefficients(params: MeanFieldParams, y0: np.ndarray, n_max: int) -> 
             for mm in range(1, n + 1):
                 cross += t[mm][:, None] * s[n - mm]
             c[n + 1] = (s[n] * (1.0 - t[0][:, None]) - cross - c[n]) / (n + 1)
+        c = c * (params.mu ** np.arange(n_max + 1.0))[:, None, None]
     return TaylorTable(coeff=c)
 
 

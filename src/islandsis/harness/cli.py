@@ -23,9 +23,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
-from ..analysis import TaylorTable, UnmetHypothesisError, classify_multi, taylor_coefficients
+from ..analysis import UnmetHypothesisError, classify_multi, taylor_coefficients
 from ..meanfield import IntegrationError
 from ..topology import superdegree
 from .config import ConfigError, ExperimentConfig
@@ -87,10 +85,6 @@ def _cmd_taylor(cfg: ExperimentConfig, out: Path) -> int:
     params = cfg.meanfield_params(net)
     y0 = cfg.initial_fractions(net)
     table = taylor_coefficients(params, y0, cfg.taylor_order)
-    # The recursion runs in normalized time mu*t, so y^(n)(0)/n! is row n times mu**n.
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = cfg.common_mu() ** np.arange(table.n_max + 1.0)
-        table = TaylorTable(table.coeff * scale[:, None, None])
     payload = {
         "n_max": table.n_max,
         "coefficients": {

@@ -305,30 +305,12 @@ class ExperimentConfig:
                 raise ConfigError(f"{path}.gamma", str(exc)) from exc
         return StrainParams(net=net, gamma=tuple(rows), mu=tuple(mu for _, _, mu in specs))
 
-    def common_mu(self) -> float:
-        """The shared healing rate; refuses strain-heterogeneous mu.
-
-        Comparing against the limiting dynamics rescales time by mu and rates
-        by 1/mu, which only makes sense when all strains share one mu.
-        """
-        mus = {mu for _, _, mu in self.strain_specs()}
-        if len(mus) > 1:
-            raise ConfigError(
-                "strains.mu",
-                f"strain-dependent healing rates {sorted(mus)} cannot be rescaled "
-                "to a common normalized time",
-            )
-        return mus.pop()
-
     def meanfield_params(self, net: SuperNetwork) -> MeanFieldParams:
-        """Effective ODE rates: micro gamma over the common mu, times size ratios."""
-        mu = self.common_mu()
+        """Effective ODE rates: micro gamma over the strains' common mu, times size ratios."""
         params = self.strain_params(net)
         try:
-            scaled = StrainParams(net, tuple(tuple(g / mu for g in r) for r in params.gamma),
-                                  (1.0,) * params.num_strains)
-            return MeanFieldParams.from_micro(net, scaled)
-        except ValueError as exc:  # gamma/mu, or its size-scaled form, overflows
+            return MeanFieldParams.from_micro(net, params)
+        except ValueError as exc:  # mu differs between strains, or a rate overflows
             raise ConfigError("strains", str(exc)) from exc
 
     # -- initial conditions -------------------------------------------------

@@ -102,21 +102,22 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
 
 
 def meanfield_run(cfg: ExperimentConfig, net: SuperNetwork, y0: np.ndarray, grid: np.ndarray):
-    """Integrate the limiting dynamics in normalized time.
+    """Integrate the limiting dynamics on the config's grid, in the config's time.
 
-    A common healing rate mu is absorbed by running rates gamma/mu to horizon
-    mu * t_end and reporting samples back at the caller's grid.
+    The field runs to mu * t_end in units of the common healing rate mu, so
+    mu is refused where that horizon or the scaled grid leaves the float range.
     """
-    mu = cfg.common_mu()
     params = cfg.meanfield_params(net)
     control = cfg.step_control()
-    horizon, t_eval = mu * cfg.t_end, mu * grid
-    if not (horizon > 0 and np.all(np.diff(t_eval) > 0)):
-        raise ConfigError("strains.mu", f"healing rate {mu} leaves no distinct normalized sample times")
+    with np.errstate(over="ignore", invalid="ignore"):
+        horizon, t_eval = params.mu * cfg.t_end, params.mu * grid
+    if not (0 < horizon < np.inf and np.all(np.diff(t_eval) > 0)):
+        raise ConfigError("strains.mu",
+                          f"healing rate {params.mu} leaves no distinct normalized sample times")
     if control.method == "rk4" and horizon > control.fixed_step * control.max_steps:
         raise ConfigError("integrator.fixed_step", f"{horizon:g} / {control.fixed_step:g} steps "
                                                    f"exceed the budget of {control.max_steps}")
-    traj = integrate(params, y0, horizon, control=control, t_eval=t_eval)
+    traj = integrate(params, y0, cfg.t_end, control=control, t_eval=grid)
     return params, traj
 
 
@@ -130,7 +131,7 @@ def run_meanfield(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
     regime = "symmetric" if params.is_symmetric_configuration else "unanalyzed-asymmetric"
     write_ode_trajectory(
         out / "meanfield.csv", traj, times=grid,
-        extra_meta={"regime": regime, "healing_rate": cfg.common_mu()},
+        extra_meta={"regime": regime, "healing_rate": params.mu},
     )
     return _write_run_manifest(
         out / MEANFIELD_MANIFEST_NAME, cfg, "meanfield", ["meanfield.csv"], rng_algorithm=None,

@@ -103,8 +103,7 @@ def write_ode_trajectory(
 ) -> None:
     """Write an ODE trajectory with state shape (M, K).
 
-    `times` overrides the recorded times (used when the caller rescaled the
-    time axis for a non-unit healing rate).
+    `times`, when given, replaces the recorded times (the caller's sample grid).
     """
     states = traj.states
     if states.ndim != 3:

@@ -4,11 +4,12 @@ As island sizes grow, the per-island infected fractions y[i, k] follow
 
     dy[i,k]/dt = (sum_{j ~ i} w_k(j, i) * y[j,k]) * (1 - sum_l y[i,l]) - y[i,k]
 
-with effective rates w_k(j, i) = gamma_k(j, i) * N_j / N_i and the healing
-rate normalized to one.  Callers with healing rate mu != 1 must rescale
-(gamma -> gamma/mu, t -> mu*t) before building :class:`MeanFieldParams`.
-The rates are one weight per strain and directed island edge, so a call of
-:func:`rhs` costs O(K*E) for E directed edges, not O(K*M^2).
+in the time unit of the strains' common healing rate mu, with effective
+rates w_k(j, i) = gamma_k(j, i) / mu * N_j / N_i.  :class:`MeanFieldParams`
+carries mu, and :func:`integrate` runs the field to mu * t_end and reports
+its samples in the caller's time t.  The rates are one weight per strain and
+directed island edge, so a call of :func:`rhs` costs O(K*E) for E directed
+edges, not O(K*M^2).
 
 States are plain float arrays of shape (M, K); any number of leading batch
 dimensions is accepted by :func:`rhs` and :func:`integrate`, in which case all
@@ -45,51 +46,63 @@ class MeanFieldParams:
 
     Rates live on the directed island edges (src, dst) = net.in_edges: w has
     shape (K, E) and w[k-1, e] is the effective rate of strain k from island
-    src[e] into island dst[e].  Every edge carries a strictly positive, finite rate.
+    src[e] into island dst[e], in units of the common healing rate mu.  Every
+    edge carries a strictly positive, finite rate, and mu is positive and finite.
     """
 
     net: SuperNetwork
-    num_strains: int
     w: np.ndarray
+    mu: float = 1.0
 
     def __post_init__(self):
         w = np.asarray(self.w, dtype=float)
-        if w.shape != (self.num_strains, self.net.in_edges[0].size):
+        if w.ndim != 2 or w.shape[1] != self.net.in_edges[0].size:
             raise ValueError("rates must have shape (num_strains, number of directed edges)")
         if not np.all((w > 0) & (w < np.inf)):
             raise ValueError("effective rates on edges must be strictly positive and finite")
+        if not 0 < self.mu < math.inf:
+            raise ValueError(f"healing rate mu must be positive and finite, got {self.mu!r}")
         # Stored edge-major, so w.T, the layout `pressure` multiplies by, is contiguous.
         w = w.T.copy().T
         w.setflags(write=False)
         object.__setattr__(self, "w", w)
+        object.__setattr__(self, "mu", float(self.mu))
+
+    @property
+    def num_strains(self) -> int:
+        return self.w.shape[0]
 
     @classmethod
     def symmetric(cls, net: SuperNetwork, gammas: float | Sequence[float]) -> "MeanFieldParams":
         """Equal island sizes assumed; one uniform rate per strain."""
-        w = StrainParams.uniform(net, [float(g) for g in np.atleast_1d(gammas)]).gamma
-        return cls(net=net, num_strains=len(w), w=w)
+        return cls(net, StrainParams.uniform(net, [float(g) for g in np.atleast_1d(gammas)]).gamma)
 
     @classmethod
     def from_micro(cls, net: SuperNetwork, params: StrainParams) -> "MeanFieldParams":
-        """Scale microscopic rates by island size ratios N_j / N_i.
+        """Microscopic rates over their common healing rate mu, times size ratios N_j / N_i.
 
-        Requires all healing rates already normalized to 1.
+        Strains that heal at different rates have no common time unit and are refused.
         """
-        if any(mu != 1.0 for mu in params.mu):
-            raise ValueError("healing rates must be normalized to 1 (rescale gamma and time)")
+        if len(set(params.mu)) > 1:
+            raise ValueError(f"strain-dependent healing rates mu = {sorted(set(params.mu))} "
+                             "have no common time unit")
         params.validate_for(net)
-        n = net.sizes
-        w = [[g * n[j - 1] / n[i - 1] for g, (j, i) in zip(row, net.in_edge_pairs)]
-             for row in params.gamma]
-        return cls(net=net, num_strains=params.num_strains, w=w)
+        mu, n = params.mu[0], net.sizes
+
+        def rate(g, j, i):
+            # g * N_j can overflow where the ratio N_j / N_i brings it back into range.
+            w = g / mu * n[j - 1] / n[i - 1]
+            return w if w < math.inf else g / mu * (n[j - 1] / n[i - 1])
+
+        return cls(net, [[rate(g, j, i) for g, (j, i) in zip(row, net.in_edge_pairs)]
+                         for row in params.gamma], mu)
 
     @classmethod
     def from_rates(
         cls, net: SuperNetwork, num_strains: int, gamma_eff: Mapping[tuple[int, int, int], float]
     ) -> "MeanFieldParams":
         """Directly supplied effective rates keyed (strain, source j, target i)."""
-        w = edge_rows(net, gamma_eff, range(1, num_strains + 1))
-        return cls(net=net, num_strains=num_strains, w=w)
+        return cls(net, edge_rows(net, gamma_eff, range(1, num_strains + 1)))
 
     def pressure(self, y: np.ndarray) -> np.ndarray:
         """sum_{j ~ i} w_k(j, i) * y[..., j, k] as an array shaped like y, in O(K*E).
@@ -268,8 +281,8 @@ def integrate_field(
             simplices.
     """
     control = control or StepControl()
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     y = np.array(y0, dtype=float)
     if t_eval is not None:
         t_eval = _prepare_grid(t_eval, t_end)
@@ -341,8 +354,10 @@ def integrate(
     control: StepControl | None = None,
     t_eval: Sequence[float] | None = None,
 ) -> OdeTrajectory:
-    """Integrate the limiting dynamics from y0 over [0, t_end].
+    """Integrate the limiting dynamics from y0 over [0, t_end] in the caller's time.
 
+    The field runs in units of params.mu, to mu * t_end and sampled at
+    mu * t_eval; the trajectory reports t_eval, or its step times over mu.
     y0 may carry leading batch dimensions over trailing (M, K); batched
     trajectories share a single step sequence and error control.  Every
     accepted state is asserted to stay within 10x the control tolerance of
@@ -350,7 +365,13 @@ def integrate(
     """
     control = control or StepControl()
     y0 = validate_state(y0, params, tol=10 * control.tolerance)
-    return integrate_field(lambda t, y: rhs(y, params), y0, t_end, control=control, t_eval=t_eval)
+    if t_eval is not None:
+        t_eval = _prepare_grid(t_eval, t_end)
+    with np.errstate(over="ignore"):  # integrate_field refuses an overflowing horizon
+        scaled = None if t_eval is None else params.mu * t_eval
+    traj = integrate_field(lambda t, y: rhs(y, params), y0, params.mu * t_end, control, scaled)
+    traj.times = traj.times / params.mu if t_eval is None else t_eval.copy()
+    return traj
 
 
 def reduced_scalar_solution(d: int, gamma: float, y0: float, t):

@@ -175,6 +175,13 @@ class TestTaylor:
         assert np.all(table.coeff[1:3, 0, 0] == 0.0)
         assert table.coeff[3, 0, 0] > 1e-12
 
+    def test_rows_scale_by_powers_of_the_healing_rate(self):
+        # the recursion runs in units of mu; row n is y^(n)(0)/n! in the caller's time
+        healing = MeanFieldParams(self.net, self.params.w, 2.5)
+        unit = taylor_coefficients(self.params, self.y0, 5).coeff
+        scaled = taylor_coefficients(healing, self.y0, 5).coeff
+        assert np.array_equal(scaled, unit * (2.5 ** np.arange(6.0))[:, None, None])
+
     def test_polynomial_truncation_order(self):
         # halving the evaluation time cuts a degree-n polynomial's error by
         # at least 2^n / 1.5 (the next term dominates)

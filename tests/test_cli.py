@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -289,6 +290,11 @@ def test_config_error_exit_codes(tmp_path, capsys):
     ("simulate", {"topology": {"generator": "foo"}}, "topology.generator"),
     ("simulate", {"topology": {"generator": [1]}}, "topology.generator"),
     ("simulate", {"topology": {"generator": None}}, "topology.generator"),
+    # mu * t_end overflows: refused before the integrator runs to an infinite horizon
+    ("meanfield", {"sizes": 10, "strains": [{"gamma": 1.0e300, "mu": 1.0e300}], "t_end": 1.0e10,
+                   "grid": [0, 1.0e10]}, "strains.mu"),
+    ("meanfield", {"sizes": 10, "strains": [{"gamma": 1.0e300, "mu": 1.0e300}], "t_end": 1.0e10,
+                   "grid": 5}, "strains.mu"),
 ], ids=["strain-not-mapping-meanfield", "strain-not-mapping-classify", "mu-not-number",
         "fraction-not-number", "edge-not-pair", "compare-not-mapping", "values-not-rows",
         "value-not-number", "grid-entry-list", "grid-entry-string", "suite-not-name",
@@ -296,12 +302,23 @@ def test_config_error_exit_codes(tmp_path, capsys):
         "t_end-inf-simulate", "t_end-inf-meanfield", "t_end-nan", "taylor-order-too-high",
         "topology-null", "non-string-key", "grid-collapses", "rates-overflow", "rk4-over-budget",
         "size-beyond-2**53", "schedule-size-beyond-2**53", "event-rates-overflow",
-        "unknown-method", "unknown-generator", "generator-list", "generator-null"])
+        "unknown-method", "unknown-generator", "generator-list", "generator-null",
+        "horizon-overflows", "horizon-overflows-grid-count"])
 def test_wrong_type_exits_2_naming_the_field(tmp_path, capsys, command, overrides, field):
     cfg = write_cfg(tmp_path, **overrides)
     assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {field}: "), err
+
+
+@pytest.mark.parametrize("command", ["meanfield", "taylor", "classify", "converge"])
+def test_strains_healing_at_different_rates_exit_2(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, strains=[{"gamma": 2.0, "mu": 1.0}, {"gamma": 1.5, "mu": 2.0}],
+                    initial={"kind": "uniform", "fraction": [0.1, 0.1]}, size_schedule=[10, 20, 40])
+    assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: strains: "), err
+    assert re.search(r"\bmu\b", err[0]), err
 
 
 def test_internal_value_error_is_not_a_config_error(tmp_path, monkeypatch):
@@ -482,3 +499,58 @@ def test_cli_import_leaves_scipy_out():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                             check=True, timeout=60)
     assert result.stdout.strip() == "[]"
+
+
+# Outputs at a common healing rate mu != 1, as written when the harness still
+# rescaled (gamma -> gamma/mu, t -> mu*t) itself: a 4-island custom network
+# with unequal sizes, two strains (one given per ordered pair) at mu = 2.5; an
+# rk4 run at mu = 1.7; and a classification at mu = 2.
+PINNED_MU_CUSTOM = {
+    "topology": {"generator": "custom", "edges": [[1, 2], [2, 1], [2, 3], [3, 2], [3, 4], [4, 3],
+                                                  [4, 1], [1, 4], [1, 3], [3, 1]]},
+    "sizes": [20, 30, 45, 25],
+    "strains": [
+        {"gamma": {"1->2": 1.3, "2->1": 0.7, "2->3": 1.1, "3->2": 0.9, "3->4": 1.6, "4->3": 0.4,
+                   "4->1": 1.2, "1->4": 0.8, "1->3": 0.6, "3->1": 1.7}, "mu": 2.5},
+        {"gamma": 0.9, "mu": 2.5},
+    ],
+    "initial": {"kind": "matrix", "values": [[0.3, 0.1], [0.0, 0.2], [0.05, 0.0], [0.1, 0.1]]},
+    "t_end": 3.0,
+    "grid": 7,
+    "taylor_order": 5,
+    "size_schedule": [8, 16, 32],
+    "replications": 3,
+    "seed": 5,
+}
+PINNED_MU_RK4 = dict(BASE, strains=[{"gamma": 3.0, "mu": 1.7}], t_end=2.5, grid=6,
+                     integrator={"method": "rk4", "fixed_step": 0.01})
+PINNED_MU_CLASSIFY = dict(BASE, topology={"generator": "cycle", "islands": 5}, sizes=10,
+                          strains=[{"gamma": 2.4, "mu": 2.0}, {"gamma": 1.6, "mu": 2.0}])
+PINNED_MU_SHA256 = {
+    ("meanfield", "custom"):
+        "bf48d3a3b357e9c194eae1681cfa2412c38ed1f51e0bd5a5661daf6b3b018320",
+    ("taylor", "custom"):
+        "d7fd5ef5fce55184bef12d0c5c1841e16ff84800ccdf1cd515d9f8676df41923",
+    ("converge", "custom"):
+        "5d2f1867198a658962863d735b067c738753a8152b7bb69b47da4aef726cba6f",
+    ("meanfield", "rk4"):
+        "4ec98b57df3523d8587271271b986616a2f03dfe335f91c3106583f1c790d567",
+    ("classify", "classify"):
+        "c7a87543f79292ef269dfa3a06d524b3087f3350e9ab258a9b1f620f25d7d70c",
+}
+PINNED_MU_FILES = {"meanfield": "meanfield.csv", "taylor": "taylor_table.json",
+                   "converge": "convergence_report.json"}
+
+
+@pytest.mark.parametrize("command, case", list(PINNED_MU_SHA256),
+                         ids=[f"{command}-{case}" for command, case in PINNED_MU_SHA256])
+def test_nonunit_healing_rate_outputs_are_pinned(tmp_path, capsys, command, case):
+    raw = {"custom": PINNED_MU_CUSTOM, "rk4": PINNED_MU_RK4, "classify": PINNED_MU_CLASSIFY}[case]
+    path = tmp_path / "mu.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert main([command, str(path), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    data = (out / PINNED_MU_FILES[command]).read_bytes() if command in PINNED_MU_FILES else stdout.encode()
+    assert hashlib.sha256(data).hexdigest() == PINNED_MU_SHA256[(command, case)]

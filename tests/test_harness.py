@@ -95,7 +95,7 @@ class TestConfig:
     def test_heterogeneous_mu_refused_for_comparison(self):
         cfg = cfg_with(strains=[{"gamma": 2.0, "mu": 1.0}, {"gamma": 1.0, "mu": 2.0}])
         with pytest.raises(ConfigError, match="mu"):
-            cfg.common_mu()
+            cfg.meanfield_params(cfg.build_net())
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ConfigError, match="suite"):

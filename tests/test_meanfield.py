@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,8 +52,30 @@ class TestParams:
         assert not params.is_symmetric_configuration
 
     def test_from_micro_requires_normalized_healing(self):
-        with pytest.raises(ValueError):
-            MeanFieldParams.from_micro(BIP, StrainParams.uniform(BIP, 2.0, 0.5))
+        with pytest.raises(ValueError, match=r"\bmu\b"):
+            MeanFieldParams.from_micro(BIP, StrainParams.uniform(BIP, (2.0, 1.0), (0.5, 1.0)))
+
+    def test_from_micro_divides_by_the_common_mu(self):
+        net = bipartite_supernetwork(2, 4)
+        params = MeanFieldParams.from_micro(net, StrainParams.uniform(net, (3.0, 1.0), 2.5))
+        assert params.mu == 2.5
+        assert edge_rates(params)[(1, 1, 2)] == 3.0 / 2.5 * 2 / 4
+        assert edge_rates(params)[(2, 2, 1)] == 1.0 / 2.5 * 4 / 2
+
+    def test_from_micro_reaches_a_finite_rate_past_an_overflowing_product(self):
+        # gamma * N_j = 4e308 overflows, but the effective rate gamma * 4 / 4 is 1e308
+        net = bipartite_supernetwork(4, 4)
+        params = MeanFieldParams.from_micro(net, StrainParams.uniform(net, 1e308))
+        assert np.all(params.w == 1e308)
+        # into island 1 of 1+4 the rate itself, 1e308 * 4 / 1, overflows
+        net = bipartite_supernetwork(1, 4)
+        with pytest.raises(ValueError, match="strictly positive and finite"):
+            MeanFieldParams.from_micro(net, StrainParams.uniform(net, 1e308))
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, np.inf, np.nan])
+    def test_healing_rate_must_be_positive_and_finite(self, mu):
+        with pytest.raises(ValueError, match=r"\bmu\b"):
+            MeanFieldParams(BIP, [[1.0, 2.0]], mu)
 
     def test_symmetric_detection(self):
         assert MeanFieldParams.symmetric(BIP, 2.0).is_symmetric_configuration
@@ -67,7 +91,7 @@ class TestParams:
         with pytest.raises(ValueError, match="strictly positive"):
             MeanFieldParams.symmetric(BIP, np.inf)
         with pytest.raises(ValueError, match="strictly positive"):
-            MeanFieldParams(BIP, 1, [[1.0, np.inf]])
+            MeanFieldParams(BIP, [[1.0, np.inf]])
 
     def test_uniform_rate_rejects_unknown_strain(self):
         params = MeanFieldParams.symmetric(BIP, (2.0, 0.5))
@@ -168,6 +192,30 @@ class TestIntegrate:
         for b in range(2):
             single = integrate(params, y0s[b], 10.0, t_eval=[0.0, 5.0, 10.0])
             assert np.abs(batch.states[:, b] - single.states).max() < 1e-9
+
+    def test_infinite_horizon_refused(self):
+        params = MeanFieldParams.symmetric(BIP, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            integrate(params, np.array([[0.2], [0.1]]), math.inf)
+
+    @pytest.mark.parametrize("method", ["rk45", "rk4"])
+    def test_healing_rate_runs_the_unit_field_in_scaled_time(self, method):
+        # the field at mu over t is, bit for bit, the same rates at mu = 1 over mu * t
+        net = cycle_supernetwork(4, 1)
+        unit = MeanFieldParams.from_rates(net, 2, {(k, j, i): 0.5 + 0.3 * k + 0.1 * j
+                                                   for k in (1, 2) for j, i in net.in_edge_pairs})
+        healing = MeanFieldParams(net, unit.w, 2.5)
+        y0 = np.random.default_rng(2).uniform(0, 0.4, (4, 2))
+        control = StepControl(method=method, fixed_step=1e-3)
+        grid = np.linspace(0.0, 1.2, 7)
+        mine = integrate(healing, y0, 1.2, control=control, t_eval=grid)
+        ref = integrate(unit, y0, 2.5 * 1.2, control=control, t_eval=2.5 * grid)
+        assert np.array_equal(mine.states, ref.states) and np.array_equal(mine.times, grid)
+        assert (mine.n_steps, mine.n_rejected) == (ref.n_steps, ref.n_rejected)
+        every = integrate(healing, y0, 1.2, control=control)
+        every_ref = integrate(unit, y0, 2.5 * 1.2, control=control)
+        assert np.array_equal(every.states, every_ref.states)
+        assert np.array_equal(every.times, every_ref.times / 2.5)
 
     def test_invalid_start_rejected(self):
         params = MeanFieldParams.symmetric(BIP, 2.0)
