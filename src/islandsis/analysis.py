@@ -5,7 +5,8 @@ symmetric configuration iff d*gamma > 1, at level 1 - 1/(d*gamma), and with
 several strains only the strictly fastest one can persist; one verdict,
 :func:`classify_multi`, of which :func:`classify_single` is the one-strain
 case), order preservation of the flow between comparably ordered initial
-conditions (:func:`check_dominance` returns the earliest violation, or None),
+conditions (:func:`check_dominance` integrates one pair or a stack of pairs
+at once and returns the earliest violation, or None),
 the hop-distance structure of Taylor coefficients (an island only responds
 to a perturbation n hops away through its nth and higher derivatives), and
 the sign of a function near a point where its first nonzero derivative is
@@ -25,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .meanfield import MeanFieldParams, StepControl, integrate, rhs, validate_state
+from .micro import _is_count
 from .topology import SuperNetwork, is_regular, superdegree
 
 
@@ -102,12 +104,16 @@ def classify_multi(net: SuperNetwork, gammas: Sequence[float]) -> Classification
 
 @dataclass(frozen=True)
 class DominanceViolation:
-    """Where the ordering of two trajectories first fails on the grid, and by how much."""
+    """Where the ordering of two trajectories first fails on the grid, and by how much.
+
+    pair is the 0-based index of the failing pair in a stack of pairs, 0 for a single pair.
+    """
 
     time: float
     island: int
     strain: int
     magnitude: float
+    pair: int = 0
 
 
 def _ordering_signs(num_strains: int) -> np.ndarray:
@@ -123,17 +129,23 @@ def _ordering_signs(num_strains: int) -> np.ndarray:
 def first_grid_violation(
     times: np.ndarray, lows: np.ndarray, highs: np.ndarray, signs: np.ndarray, tol: float
 ) -> DominanceViolation | None:
-    """Earliest (time, island, strain) where sign*(low - high) exceeds tol."""
-    excess = (lows - highs) * signs[None, None, :] - tol
-    bad = np.argwhere(excess > 0)
-    if bad.size == 0:
+    """Earliest grid time where sign*(low - high) exceeds tol, or None.
+
+    lows and highs have shape (T, M, K), or (T, P, M, K) for P stacked pairs;
+    ties at the earliest time go to the first (pair, island, strain) in C order.
+    """
+    excess = (lows - highs) * signs - tol
+    bad = excess > 0
+    if not bad.any():
         return None
-    t_idx, i_idx, k_idx = bad[np.argmin(bad[:, 0])]
+    index = np.unravel_index(np.argmax(bad), bad.shape)
+    t_idx, *pair, i_idx, k_idx = (int(i) for i in index)
     return DominanceViolation(
         time=float(times[t_idx]),
-        island=int(i_idx) + 1,
-        strain=int(k_idx) + 1,
-        magnitude=float(excess[t_idx, i_idx, k_idx] + tol),
+        island=i_idx + 1,
+        strain=k_idx + 1,
+        magnitude=float(excess[index] + tol),
+        pair=pair[0] if pair else 0,
     )
 
 
@@ -146,13 +158,15 @@ def check_dominance(
     tol: float = 1e-9,
     control: StepControl | None = None,
 ) -> DominanceViolation | None:
-    """Integrate two ordered initial states together; the earliest ordering violation, or None.
+    """Integrate ordered initial states together; the earliest ordering violation, or None.
 
-    For one strain the hypothesis is z_low <= z_high componentwise; for two
-    strains, strain-1 components of z_low sit below z_high while strain-2
-    components sit above (see :func:`_ordering_signs`).  Both states are
-    advanced by one shared integrator configuration and compared at every
-    grid time within tol.
+    z_low and z_high are one pair of (M, K) states, or P pairs stacked as
+    (P, M, K).  For one strain the hypothesis is z_low <= z_high
+    componentwise; for two strains, strain-1 components of z_low sit below
+    z_high while strain-2 components sit above (see :func:`_ordering_signs`).
+    Every state is advanced in one integration, with one shared step
+    sequence, and each pair is compared at every grid time within tol.  grid
+    is a count of at least 2 evenly spread times or a sequence of times.
 
     Raises:
         UnmetHypothesisError: initial states violate the required ordering.
@@ -160,11 +174,18 @@ def check_dominance(
     signs = _ordering_signs(params.num_strains)
     lo = validate_state(z_low, params)
     hi = validate_state(z_high, params)
-    if np.any((lo - hi) * signs[None, :] > 0):
+    if lo.shape != hi.shape or lo.ndim > 3:
+        raise ValueError(f"z_low and z_high must share a shape (M, K) or (P, M, K), "
+                         f"got {lo.shape} and {hi.shape}")
+    if np.any((lo - hi) * signs > 0):
         raise UnmetHypothesisError("initial states do not satisfy the ordering hypothesis")
-    t_eval = np.linspace(0.0, t_end, grid) if isinstance(grid, int) else np.asarray(grid, float)
-    traj = integrate(params, np.stack([lo, hi]), t_end, control=control, t_eval=t_eval)
-    return first_grid_violation(traj.times, traj.states[:, 0], traj.states[:, 1], signs, tol)
+    if isinstance(grid, (int, np.integer)):
+        if not _is_count(grid) or grid < 2:  # a bool, or no sample time past t = 0
+            raise ValueError(f"grid must count at least 2 sample times, got {grid!r}")
+        grid = np.linspace(0.0, t_end, grid)
+    traj = integrate(params, np.stack([lo, hi], axis=-3), t_end, control=control, t_eval=grid)
+    states = traj.states
+    return first_grid_violation(traj.times, states[..., 0, :, :], states[..., 1, :, :], signs, tol)
 
 
 MAX_TAYLOR_ORDER = 12  # conditioning degrades quickly beyond this

@@ -13,7 +13,9 @@ edges, not O(K*M^2).
 
 States are plain float arrays of shape (M, K); any number of leading batch
 dimensions is accepted by :func:`rhs` and :func:`integrate`, in which case all
-batched trajectories share one adaptive step sequence.  The state space (each
+batched trajectories share one adaptive step sequence.  The adaptive
+Dormand-Prince pair reuses its last stage as the next attempt's first, so an
+attempt costs 6 evaluations of the field.  The state space (each
 island's strain fractions in a simplex) is forward invariant for the exact
 flow; the integrator itself checks every accepted step against it instead
 of projecting, so a violation surfaces as an error rather than being masked.
@@ -25,6 +27,7 @@ checked by the same rule as the simulators' sample grids, and a
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -223,33 +226,52 @@ class OdeTrajectory:
 # Row 7 is the 5th-order weights, so the 7th stage's input is the 5th-order solution.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 ]
 _DP_B4 = np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 _DP_ERR = np.append(_DP_A[6], 0.0) - _DP_B4
+# The error sum skips the stage whose weight is 0.
+_DP_ERR_STAGES = tuple(np.flatnonzero(_DP_ERR).tolist())
+_DP_ERR_WEIGHTS = tuple(_DP_ERR[list(_DP_ERR_STAGES)].tolist())
 
 
-def _dp_step(f, t, y, h):
-    """One Dormand-Prince step: returns (5th-order y, error estimate).
+def _weighted_sum(weights, stages):
+    """sum(w * k for w, k in zip(weights, stages)), built in place and bit for bit.
 
-    Overflow in a trial step is expected near rejection; it surfaces as a
-    non-finite error norm and the step is retried smaller.
+    Added left to right from Python's int 0, so `+ 0.0` turns a leading -0.0
+    into +0.0 exactly as `sum` does.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        k = [f(t, y)]
-        for s in range(1, 7):
-            ys = y + h * sum(a * ki for a, ki in zip(_DP_A[s], k))
-            k.append(f(t + _DP_C[s] * h, ys))
-        err = h * sum(e * ki for e, ki in zip(_DP_ERR, k) if e != 0.0)
-    return ys, err
+    out = stages[0] * weights[0]
+    out += 0.0
+    for w, k in zip(weights[1:], stages[1:]):
+        out += k * w
+    return out
+
+
+def _dp_attempt(f, t, y, h, k0):
+    """One Dormand-Prince attempt from its first stage k0 = f(t, y).
+
+    Returns (5th-order y, error estimate, f(t + h, 5th-order y)).  The 7th
+    stage is evaluated at the 5th-order solution, so it is the next attempt's
+    first stage (first same as last) and an attempt costs 6 calls of f.
+    """
+    k = [k0]
+    for s in range(1, 7):
+        ys = _weighted_sum(_DP_A[s], k)
+        ys *= h
+        ys += y
+        k.append(f(t + _DP_C[s] * h, ys))
+    err = _weighted_sum(_DP_ERR_WEIGHTS, [k[s] for s in _DP_ERR_STAGES])
+    err *= h
+    return ys, err, k[6]
 
 
 def _rk4_step(f, t, y, h):
@@ -273,7 +295,8 @@ def integrate_field(
     axis of y indexes strains) forward invariant: every accepted state is
     checked to stay within 10x the control tolerance of it.  With t_eval
     given, samples land exactly on those times (steps are clipped to them,
-    never interpolated); otherwise every accepted step is recorded.
+    never interpolated); otherwise every accepted step is recorded.  An rk45
+    call evaluates f 1 + 6 * (n_steps + n_rejected) times.
 
     Raises:
         IntegrationError: when the adaptive step underflows control.h_min,
@@ -302,42 +325,48 @@ def integrate_field(
     t = 0.0
     n_steps = 0
     n_rejected = 0
-    h = control.fixed_step if control.method == "rk4" else min(0.05, t_end / 10)
-    while t < t_end:
-        if n_steps + n_rejected >= control.max_steps:
-            raise IntegrationError(f"step budget {control.max_steps} exhausted at t={t:g}")
-        target = t_eval[ei] if (not record_all and ei < t_eval.size) else t_end
-        h_try = min(h, target - t, t_end - t)
-        if control.method == "rk4":
-            y_new = _rk4_step(f, t, y, h_try)
-        else:
-            y_new, err = _dp_step(f, t, y, h_try)
-            scale = control.atol + control.rtol * np.maximum(np.abs(y), np.abs(y_new))
-            with np.errstate(invalid="ignore", over="ignore"):
-                err_norm = float(np.max(np.abs(err) / scale)) if err.size else 0.0
-            if not np.isfinite(err_norm) or err_norm > 1.0:
-                n_rejected += 1
-                shrink = 0.2 if not np.isfinite(err_norm) else max(0.2, 0.9 * err_norm**-0.2)
-                h = h_try * shrink
-                if h < control.h_min:
-                    raise IntegrationError(f"step size underflow at t={t:g} (h={h:.3e})")
-                continue
-            grow = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm**-0.2))
-            h = h_try * grow
-        t = t + h_try
-        y = y_new
-        n_steps += 1
-        msg = _simplex_violation(y, slack)
-        if msg:
-            raise IntegrationError(f"domain violation at t={t:g}: {msg}")
-        if record_all:
-            times.append(t)
-            states.append(y.copy())
-        else:
-            while ei < t_eval.size and t >= t_eval[ei] - 1e-14 * max(1.0, t):
-                times.append(float(t_eval[ei]))
+    adaptive = control.method == "rk45"
+    h = min(0.05, t_end / 10) if adaptive else control.fixed_step
+    # Overflow in an adaptive trial step is expected near rejection; it
+    # surfaces as a non-finite error norm and the step is retried smaller.
+    quiet = np.errstate(over="ignore", invalid="ignore") if adaptive else contextlib.nullcontext()
+    with quiet:
+        k0 = f(t, y) if adaptive else None
+        while t < t_end:
+            if n_steps + n_rejected >= control.max_steps:
+                raise IntegrationError(f"step budget {control.max_steps} exhausted at t={t:g}")
+            target = t_eval[ei] if (not record_all and ei < t_eval.size) else t_end
+            h_try = min(h, target - t, t_end - t)
+            if not adaptive:
+                y_new = _rk4_step(f, t, y, h_try)
+            else:
+                y_new, err, k_new = _dp_attempt(f, t, y, h_try, k0)
+                scale = control.atol + control.rtol * np.maximum(np.abs(y), np.abs(y_new))
+                err_norm = float((np.abs(err) / scale).max()) if err.size else 0.0
+                if not math.isfinite(err_norm) or err_norm > 1.0:
+                    n_rejected += 1
+                    shrink = 0.2 if not math.isfinite(err_norm) else max(0.2, 0.9 * err_norm**-0.2)
+                    h = h_try * shrink
+                    if h < control.h_min:
+                        raise IntegrationError(f"step size underflow at t={t:g} (h={h:.3e})")
+                    continue
+                grow = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm**-0.2))
+                h = h_try * grow
+                k0 = k_new
+            t = t + h_try
+            y = y_new
+            n_steps += 1
+            msg = _simplex_violation(y, slack)
+            if msg:
+                raise IntegrationError(f"domain violation at t={t:g}: {msg}")
+            if record_all:
+                times.append(t)
                 states.append(y.copy())
-                ei += 1
+            else:
+                while ei < t_eval.size and t >= t_eval[ei] - 1e-14 * max(1.0, t):
+                    times.append(float(t_eval[ei]))
+                    states.append(y.copy())
+                    ei += 1
     return OdeTrajectory(
         times=np.asarray(times),
         states=np.asarray(states),

@@ -130,6 +130,59 @@ class TestDominance:
         assert (v.time, v.island, v.strain) == (1.0, 2, 1)
         assert v.magnitude == pytest.approx(5e-4)
 
+    def test_stacked_violations_report_the_earliest_time_then_c_order(self):
+        times = np.array([0.0, 1.0, 2.0, 3.0])
+        lows = np.zeros((4, 3, 2, 2))  # (T, P, M, K)
+        highs = np.zeros((4, 3, 2, 2))
+        lows[2, 0, 0, 0] = 1e-3  # later, though first in C order
+        lows[1, 2, 0, 1] = 4e-4  # pair 3 ties with pair 2 at t=1 but comes later
+        lows[1, 1, 1, 0] = 3e-4  # pair 2, island 2, strain 1
+        lows[1, 1, 1, 1] = 5e-4  # same pair and island, strain 2 comes later
+        v = first_grid_violation(times, lows, highs, np.array([1.0, 1.0]), tol=1e-9)
+        assert (v.time, v.pair, v.island, v.strain) == (1.0, 1, 2, 1)
+        assert v.magnitude == pytest.approx(3e-4)
+        assert first_grid_violation(times, highs, highs, np.array([1.0, 1.0]), tol=1e-9) is None
+
+    def test_unstacked_violation_is_pair_zero(self):
+        lows = np.zeros((2, 2, 1))
+        lows[1, 1, 0] = 1e-3
+        v = first_grid_violation(np.array([0.0, 1.0]), lows, np.zeros((2, 2, 1)),
+                                 np.array([1.0]), tol=1e-9)
+        assert (v.time, v.pair, v.island, v.strain) == (1.0, 0, 2, 1)
+
+    def test_stacked_pairs_hold(self):
+        params = MeanFieldParams.symmetric(BIP, (2.5, 1.5))
+        lo = np.array([[[0.1, 0.4], [0.2, 0.3]], [[0.0, 0.5], [0.1, 0.6]]])
+        hi = np.array([[[0.2, 0.3], [0.2, 0.1]], [[0.3, 0.2], [0.4, 0.1]]])
+        assert check_dominance(params, lo, hi, 50.0) is None
+
+    def test_stacked_pair_out_of_order_refused(self):
+        params = MeanFieldParams.symmetric(BIP, 2.0)
+        lo = np.array([[[0.1], [0.2]], [[0.4], [0.2]], [[0.0], [0.0]]])
+        hi = np.array([[[0.3], [0.2]], [[0.3], [0.2]], [[0.1], [0.1]]])
+        with pytest.raises(UnmetHypothesisError):
+            check_dominance(params, lo, hi, 10.0)
+
+    def test_pairs_of_different_shapes_refused(self):
+        params = MeanFieldParams.symmetric(BIP, 2.0)
+        z = np.array([[0.1], [0.2]])
+        with pytest.raises(ValueError, match="shape"):
+            check_dominance(params, z, np.stack([z, z]), 10.0)
+
+    @pytest.mark.parametrize("grid", [1, 0, True, False, np.int64(1)])
+    def test_grid_count_below_two_refused(self, grid):
+        # one sample time is t = 0, where the ordering holds by hypothesis
+        params = MeanFieldParams.symmetric(BIP, 2.0)
+        z = np.array([[0.1], [0.2]])
+        with pytest.raises(ValueError, match="grid"):
+            check_dominance(params, z, z, 10.0, grid=grid)
+
+    def test_numpy_integer_grid_count_accepted(self):
+        params = MeanFieldParams.symmetric(BIP, 2.0)
+        lo, hi = np.array([[0.1], [0.2]]), np.array([[0.3], [0.2]])
+        assert check_dominance(params, lo, hi, 50.0, grid=np.int64(101)) is None
+        assert check_dominance(params, lo, hi, 50.0, grid=np.int32(2)) is None
+
     def test_randomized_pairs_hold(self):
         params = MeanFieldParams.symmetric(cycle_supernetwork(6, 1), 1.0)
         rng = np.random.default_rng(12)

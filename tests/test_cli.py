@@ -183,6 +183,10 @@ def test_suite_subcommand(tmp_path, capsys):
     assert report["passed"] is True
 
 
+# sha256 of suite_report.json for all six suites: every check's recorded figures, pinned
+PINNED_SUITE_REPORT_SHA256 = "0af2050a3b36452c1ba4ba87730c458bc7778209a64163aa651adab90bd8848a"
+
+
 def test_suite_runs_all_six_suites_by_default(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["suite", str(cfg), "--out", str(tmp_path / "suite")]) == 0
@@ -191,6 +195,8 @@ def test_suite_runs_all_six_suites_by_default(tmp_path, capsys):
     assert {line.split()[1].split(":")[0] for line in lines} == {
         "bipartite-single", "bipartite-bivirus", "regular-single", "regular-multivirus",
         "taylor", "appendix"}
+    report = (tmp_path / "suite" / "suite_report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == PINNED_SUITE_REPORT_SHA256
 
 
 def test_converge_subcommand(tmp_path):

@@ -411,3 +411,28 @@ class TestCompare:
 def test_unknown_suite_name():
     with pytest.raises(ValueError, match="unknown suite"):
         run_theorem_suite("not-a-suite")
+
+
+class _Recorded(Exception):
+    pass
+
+
+@pytest.mark.parametrize("name", ["bipartite-single", "bipartite-bivirus", "regular-single",
+                                  "regular-multivirus"])
+def test_suite_dominance_pairs_hold_in_one_stacked_check(name, monkeypatch):
+    # The suite's own seeded draws, stopped at its dominance check, then checked stacked
+    from islandsis.analysis import check_dominance
+    from islandsis.harness import suites
+
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise _Recorded
+
+    monkeypatch.setattr(suites, "check_dominance", record)
+    with pytest.raises(_Recorded):
+        run_theorem_suite(name)
+    (params, lows, highs, t_end), kwargs = calls[0]
+    assert lows.shape == highs.shape == (20, params.net.num_islands, params.num_strains)
+    assert check_dominance(params, lows, highs, t_end, **kwargs) is None

@@ -7,9 +7,13 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from islandsis.meanfield import (
+    _DP_A,
+    _DP_C,
+    _DP_ERR,
     IntegrationError,
     MeanFieldParams,
     StepControl,
+    _dp_attempt,
     integrate,
     integrate_field,
     reduced_bivirus_trajectory,
@@ -375,3 +379,97 @@ class TestReducedBivirus:
             reduced_bivirus_trajectory(1, np.nan, 2.0, 0.2, 0.2, 1.0)
         with pytest.raises(ValueError, match="simplex"):
             reduced_bivirus_trajectory(1, 3.0, 2.0, np.nan, 0.2, 1.0)
+
+
+def _frozen_dp_step(f, t, y, h):
+    """The Dormand-Prince step as it stood before first-same-as-last, kept as the reference."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = [f(t, y)]
+        for s in range(1, 7):
+            ys = y + h * sum(a * ki for a, ki in zip(_DP_A[s], k))
+            k.append(f(t + _DP_C[s] * h, ys))
+        err = h * sum(e * ki for e, ki in zip(_DP_ERR, k) if e != 0.0)
+    return ys, err
+
+
+def _same_bits(a, b):
+    """Equal shapes, NaN in the same places, and every other entry equal bit for bit."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return False
+    return a[~np.isnan(a)].tobytes() == b[~np.isnan(b)].tobytes()
+
+
+def _random_state(rng, shape):
+    """Strain fractions in the simplex, a third of them exact zeros of either sign."""
+    y = rng.uniform(0.0, 1.0, shape) / shape[-1]
+    zeros = rng.uniform(size=shape) < 1 / 3
+    y[zeros] = np.where(rng.uniform(size=shape) < 0.5, 0.0, -0.0)[zeros]
+    return y
+
+
+class TestLeanStep:
+    NETS = (bipartite_supernetwork(1, 1), cycle_supernetwork(4, 1), complete_supernetwork(3, 1))
+
+    def _cases(self, rng):
+        """(field, state, step, start time) drawn at random, 2400 in all."""
+        for i in range(2400):
+            net = self.NETS[i % 3]
+            kk = 1 + i % 2
+            shape = (net.num_islands, kk) if i % 4 < 2 else (3, 2, net.num_islands, kk)
+            y = _random_state(rng, shape)
+            t = float(rng.uniform(0.0, 5.0))
+            kind = i % 6
+            h = float(rng.uniform(0.01, 1.0))
+            if kind == 0:  # a field that maps exact zeros to -0.0
+                yield (lambda t, y: -y), y, h, t
+                continue
+            if kind == 3:  # infinite only at the second stage, whose error weight is 0
+                yield (lambda s, y, spike=t + _DP_C[1] * h:
+                       np.full(y.shape, np.inf if s == spike else math.cos(s))), y, h, t
+                continue
+            params = MeanFieldParams.symmetric(net, rng.uniform(0.2, 4.0, kk))
+            if kind == 1:  # time-dependent
+                yield (lambda t, y, p=params: (1.5 + np.sin(3 * t)) * rhs(y, p)), y, \
+                    float(rng.uniform(1e-3, 2.0)), t
+            elif kind == 2:  # overflowing trial steps
+                huge = MeanFieldParams.symmetric(net, rng.uniform(1e150, 1e300, kk))
+                yield (lambda t, y, p=huge: rhs(y, p)), y, float(10.0 ** rng.uniform(0, 200)), t
+            else:
+                yield (lambda t, y, p=params: rhs(y, p)), y, float(10.0 ** rng.uniform(-4, 0.5)), t
+
+    def test_attempt_matches_the_frozen_step_bit_for_bit(self):
+        rng = np.random.default_rng(20261019)
+        overflowed = 0
+        for f, y, h, t in self._cases(rng):
+            want_y, want_err = _frozen_dp_step(f, t, y, h)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got_y, got_err, last = _dp_attempt(f, t, y, h, f(t, y))
+                assert _same_bits(last, f(t + h, want_y))
+            assert _same_bits(got_y, want_y) and _same_bits(got_err, want_err), (y, h, t)
+            overflowed += not np.all(np.isfinite(want_err))
+        assert overflowed > 100
+
+    def test_attempt_calls_the_field_at_the_frozen_step_times(self):
+        f_times, g_times = [], []
+        params = MeanFieldParams.symmetric(BIP, 2.0)
+        y = np.array([[0.3], [0.1]])
+        _frozen_dp_step(lambda t, y: f_times.append(t) or rhs(y, params), 0.7, y, 0.03)
+        _dp_attempt(lambda t, y: g_times.append(t) or rhs(y, params), 0.7, y, 0.03,
+                    rhs(y, params))
+        assert f_times[1:] == g_times and g_times[-1] == 0.7 + 0.03
+
+    @pytest.mark.parametrize("gamma,t_eval", [(2.0, None), (40.0, None), (3.0, [0.5, 1.0, 4.0])])
+    def test_integration_makes_one_field_call_plus_six_per_attempt(self, gamma, t_eval):
+        params = MeanFieldParams.symmetric(cycle_supernetwork(5, 1), (gamma, gamma / 2))
+        calls = []
+
+        def counting(t, y):
+            calls.append(t)
+            return rhs(y, params)
+
+        y0 = np.random.default_rng(5).uniform(0.0, 0.5, (2, 5, 2))
+        traj = integrate_field(counting, y0, 4.0, t_eval=t_eval)
+        assert len(calls) == 1 + 6 * (traj.n_steps + traj.n_rejected)
+        if gamma == 40.0:
+            assert traj.n_rejected > 0
