@@ -299,15 +299,19 @@ def sign_probe(coeffs: Sequence[float], threshold: float = 1e-12) -> LocalSign:
     return LocalSign.INCONCLUSIVE
 
 
-def lyapunov_error(y: np.ndarray) -> float:
+def lyapunov_error(y: np.ndarray) -> float | np.ndarray:
     """Half the squared gap between the two island fractions, w = (y1-y2)^2 / 2.
 
-    Defined for a two-island single-strain state.  Along any solution of the
-    symmetric two-island system with rate g, dw/dt = -(y1-y2)^2 (g+1) <= 0,
-    so w certifies collapse onto the evenly infected diagonal.
+    Defined for a two-island single-strain state, shaped (2,) or (2, 1), or
+    for states (..., 2, 1) batched in leading dimensions, which give an array
+    of w over the batch.  Along any solution of the symmetric two-island
+    system with rate g, dw/dt = -(y1-y2)^2 (g+1) <= 0, so w certifies
+    collapse onto the evenly infected diagonal.
     """
     y = np.asarray(y, dtype=float)
-    if y.size != 2:
+    if y.shape == (2,):
+        y = y[:, None]
+    if y.shape[-2:] != (2, 1):
         raise ValueError("expected a two-island, single-strain state")
-    y = y.reshape(2)
-    return 0.5 * float(y[0] - y[1]) ** 2
+    w = 0.5 * (y[..., 0, 0] - y[..., 1, 0]) ** 2
+    return float(w) if w.ndim == 0 else w

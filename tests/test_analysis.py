@@ -292,6 +292,15 @@ class TestLyapunovError:
         with pytest.raises(ValueError):
             lyapunov_error(np.array([0.1, 0.2, 0.3]))
 
+    def test_batched_states(self):
+        states = np.random.default_rng(3).uniform(0.0, 1.0, (4, 3, 2, 1))
+        w = lyapunov_error(states)
+        assert w.shape == (4, 3)
+        assert w.tolist() == [[lyapunov_error(s) for s in row] for row in states]
+        for two_strain in (np.full((2, 2), 0.1), np.full((4, 2, 2), 0.1)):
+            with pytest.raises(ValueError):
+                lyapunov_error(two_strain)
+
     def test_decreases_along_flow_with_known_rate(self):
         gamma = 2.0
         params = MeanFieldParams.symmetric(BIP, gamma)

@@ -184,7 +184,7 @@ def test_suite_subcommand(tmp_path, capsys):
 
 
 # sha256 of suite_report.json for all six suites: every check's recorded figures, pinned
-PINNED_SUITE_REPORT_SHA256 = "0af2050a3b36452c1ba4ba87730c458bc7778209a64163aa651adab90bd8848a"
+PINNED_SUITE_REPORT_SHA256 = "a08b21f457392174ace20b988f2ea793f8ae8003075cf6b8cc62317a906e4338"
 
 
 def test_suite_runs_all_six_suites_by_default(tmp_path, capsys):

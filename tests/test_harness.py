@@ -23,7 +23,7 @@ from islandsis.harness.trajio import (
 )
 from islandsis.meanfield import MeanFieldParams, integrate
 from islandsis.micro import MacroCounts, StrainParams, simulate
-from islandsis.topology import bipartite_supernetwork
+from islandsis.topology import bipartite_supernetwork, complete_supernetwork, cycle_supernetwork
 
 BASE = {
     "topology": {"generator": "bipartite"},
@@ -436,3 +436,70 @@ def test_suite_dominance_pairs_hold_in_one_stacked_check(name, monkeypatch):
     (params, lows, highs, t_end), kwargs = calls[0]
     assert lows.shape == highs.shape == (20, params.net.num_islands, params.num_strains)
     assert check_dominance(params, lows, highs, t_end, **kwargs) is None
+
+
+_UNION_BLOCKS = (  # (network, rates of strains 1 and 2), each rate used by one block only
+    (cycle_supernetwork(3, 1), (1.5, 0.7)),
+    (complete_supernetwork(4, 1), (0.9, 0.4)),
+    (cycle_supernetwork(5, 1), (2.5, 1.25)),
+)
+
+
+def _union_of_blocks():
+    from islandsis.harness.suites import disjoint_union
+
+    blocks = [MeanFieldParams.symmetric(net, gammas) for net, gammas in _UNION_BLOCKS]
+    return blocks, disjoint_union(blocks)
+
+
+def test_disjoint_union_keeps_each_block_on_its_own_edges():
+    blocks, union = _union_of_blocks()
+    first = np.cumsum([0] + [p.net.num_islands for p in blocks])  # 0-based first island per block
+    assert union.net.sizes == (1,) * first[-1]
+    owner = np.searchsorted(first, np.arange(first[-1]), side="right") - 1
+    for (j, i), rates in zip(union.net.in_edge_pairs, union.w.T):
+        assert owner[j - 1] == owner[i - 1]
+        assert tuple(rates) == _UNION_BLOCKS[owner[i - 1]][1]
+    assert union.w.shape[1] == sum(p.w.shape[1] for p in blocks)
+
+
+def test_disjoint_union_blocks_evolve_as_if_alone():
+    blocks, union = _union_of_blocks()
+    starts = [np.full((3, 2), 0.2), np.array([[0.1, 0.3]] * 4), np.zeros((5, 2))]
+    final = integrate(union, np.vstack(starts), 50.0).final
+    row = 0
+    for p, y0 in zip(blocks, starts):
+        m = p.net.num_islands
+        alone = integrate(p, y0, 50.0).final
+        assert np.abs(final[row:row + m] - alone).max() <= 1e-8
+        row += m
+    assert np.all(final[7:] == 0.0)
+    assert final[:3].max() > 0.1 and final[3:7].max() > 0.1
+
+
+def test_gap_profile_batch_matches_each_start_alone(monkeypatch):
+    # The suite's own five starts, stopped at its gap-contraction call
+    from islandsis.harness import suites
+
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        raise _Recorded
+
+    monkeypatch.setattr(suites, "gap_derivative_profile", record)
+    with pytest.raises(_Recorded):
+        run_theorem_suite("bipartite-single")
+    monkeypatch.undo()
+    params, starts = calls[0]
+    assert starts.shape == (5, 2, 1)
+
+    w, dw, predicted = suites.gap_derivative_profile(params, starts)
+    worst_inc, worst_fd = 0.0, 0.0
+    for b, y0 in enumerate(starts):
+        w1, dw1, predicted1 = suites.gap_derivative_profile(params, y0)
+        assert np.abs(w[:, b] - w1).max() <= 1e-12
+        worst_inc = max(worst_inc, float(np.max(np.diff(w1))))
+        worst_fd = max(worst_fd, float(np.abs(dw1 - predicted1).max()))
+    assert max(0.0, float(np.max(np.diff(w, axis=0)))) == worst_inc
+    assert float(np.abs(dw - predicted).max()) == worst_fd
