@@ -12,7 +12,7 @@ from islandsis.harness.experiments import (
     sup_deviation,
 )
 from islandsis.harness import trajio
-from islandsis.harness.suites import run_theorem_suite
+from islandsis.harness.suites import disjoint_union, run_theorem_suite
 from islandsis.harness.trajio import (
     emit_plot_data,
     read_manifest,
@@ -446,8 +446,6 @@ _UNION_BLOCKS = (  # (network, rates of strains 1 and 2), each rate used by one 
 
 
 def _union_of_blocks():
-    from islandsis.harness.suites import disjoint_union
-
     blocks = [MeanFieldParams.symmetric(net, gammas) for net, gammas in _UNION_BLOCKS]
     return blocks, disjoint_union(blocks)
 
