@@ -26,7 +26,6 @@ from .meanfield import (
     OdeTrajectory,
     StepControl,
     integrate,
-    reduced_bivirus_trajectory,
     reduced_scalar_solution,
     rhs,
 )

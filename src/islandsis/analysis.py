@@ -20,6 +20,7 @@ whose coefficients overflow the float range.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -171,6 +172,8 @@ def check_dominance(
     Raises:
         UnmetHypothesisError: initial states violate the required ordering.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must be non-negative and finite, got {tol!r}")
     signs = _ordering_signs(params.num_strains)
     lo = validate_state(z_low, params)
     hi = validate_state(z_high, params)
@@ -225,12 +228,6 @@ class TaylorTable:
         for n in range(order - 1, -1, -1):
             out = out * t + self.coeff[n]
         return out
-
-    def first_nonzero_order(self, island: int, strain: int = 1, threshold: float = 1e-12):
-        """Smallest n >= 1 with |coeff[n, island, strain]| above threshold, or None."""
-        col = self.coeff[1:, island - 1, strain - 1]
-        hits = np.nonzero(np.abs(col) > threshold)[0]
-        return int(hits[0]) + 1 if hits.size else None
 
 
 def taylor_coefficients(params: MeanFieldParams, y0: np.ndarray, n_max: int) -> TaylorTable:

@@ -121,7 +121,7 @@ def read_trajectory(path: str | Path) -> TrajectoryData:
     Raises:
         OSError: when the file cannot be read.
         ValueError: naming the file, on a missing format tag or header, a
-            malformed or out-of-range row, or a missing cell.
+            malformed or out-of-range row, or a missing or repeated cell.
     """
     lines = Path(path).read_text(errors="replace").splitlines()
     if not lines or lines[0] != f"# {FORMAT_TAG}":
@@ -162,6 +162,9 @@ def read_trajectory(path: str | Path) -> TrajectoryData:
             counts[ti, i - 1, k - 1] = count or 0
     if np.any(np.isnan(fractions)):
         raise ValueError(f"{path}: sparse rows; every (time, island, strain) cell is required")
+    if len(parsed) != fractions.size:
+        raise ValueError(f"{path}: {len(parsed)} rows for {fractions.size} cells; "
+                         "each (time, island, strain) cell must appear once")
     return TrajectoryData(
         metadata=metadata, times=np.asarray(times), fractions=fractions, counts=counts
     )

@@ -408,7 +408,9 @@ def reduced_scalar_solution(d: int, gamma: float, y0: float, t):
 
     This is the dynamics of every island of a d-regular symmetric
     configuration started from a uniform state, and the bounding solution
-    for non-uniform starts.  Accepts scalar or array t.
+    for non-uniform starts.  With several strains the reduction has no closed
+    form; it is the field on bipartite 1+1 at rates d*gamma_k, started
+    uniform, so :func:`integrate` runs it.  Accepts scalar or array t.
 
     At a := d*gamma - 1 = 0 the decay is algebraic, y = y0 / (1 + d*g*y0*t);
     otherwise y = a*y0 / (d*g*y0 + (a - d*g*y0) e^{-a t}), written with the
@@ -434,38 +436,3 @@ def reduced_scalar_solution(d: int, gamma: float, y0: float, t):
         out = a * y0 * e / (a + dg * y0 * (e - 1.0))
     return out if out.ndim else float(out)
 
-
-def reduced_bivirus_trajectory(
-    d: int,
-    gamma_x: float,
-    gamma_y: float,
-    x0: float,
-    y0: float,
-    t_end: float,
-    control: StepControl | None = None,
-    t_eval: Sequence[float] | None = None,
-) -> OdeTrajectory:
-    """Uniform two-strain reduction on a d-regular symmetric configuration.
-
-    Integrates the scalar pair
-        dx/dt = d*gx*x*(1-x-y) - x
-        dy/dt = d*gy*y*(1-x-y) - y
-    whose trajectories sandwich the per-island fractions of the full system
-    for suitably ordered initial conditions.  States have shape (2,) = (x, y).
-    """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    if not (gamma_x > 0 and gamma_y > 0):
-        raise ValueError("rates must be positive")
-    z0 = np.array([x0, y0], dtype=float)
-    if _simplex_violation(z0, 0.0):
-        raise ValueError("(x0, y0) must lie in the simplex")
-
-    def f(t, z):
-        free = 1.0 - z[..., 0] - z[..., 1]
-        return np.stack(
-            [d * gamma_x * z[..., 0] * free - z[..., 0], d * gamma_y * z[..., 1] * free - z[..., 1]],
-            axis=-1,
-        )
-
-    return integrate_field(f, z0, t_end, control=control, t_eval=t_eval)

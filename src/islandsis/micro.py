@@ -175,10 +175,6 @@ class MacroCounts:
         return len(self.y[0])
 
     @classmethod
-    def zeros(cls, net: SuperNetwork, num_strains: int) -> "MacroCounts":
-        return cls(tuple((0,) * num_strains for _ in net.sizes), net.sizes)
-
-    @classmethod
     def from_fractions(cls, net: SuperNetwork, fractions) -> "MacroCounts":
         """Round per-island fractions (M x K array-like, or length-M for one strain).
 
@@ -309,9 +305,10 @@ def _prepare_grid(sample_grid, t_end: float) -> np.ndarray:
     grid = np.asarray(sample_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("sample grid must be a non-empty 1-d sequence of times")
-    if grid[0] < 0 or np.any(np.diff(grid) <= 0):
+    # Written so that a NaN time fails each comparison.
+    if not grid[0] >= 0 or not np.all(np.diff(grid) > 0):
         raise ValueError("sample grid times must be strictly increasing and >= 0")
-    if grid[-1] > t_end:
+    if not grid[-1] <= t_end:
         raise ValueError("sample grid extends beyond t_end")
     return grid
 

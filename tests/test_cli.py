@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -390,14 +391,21 @@ def _append_short_row(run):
         fh.write("1,2\n")
 
 
+def _append_repeated_cell(run):
+    # a second copy of the (t = 1, island 2, strain 1) cell, which reading must not drop
+    with open(run / "traj_rep0000.csv", "a") as fh:
+        fh.write("1,2,1,30,1\n")
+
+
 @pytest.mark.parametrize("damage, overrides, field", [
     (_drop_files, {}, "out"),
     (lambda run: (run / "traj_rep0001.csv").unlink(), {}, "out"),
     (lambda run: (run / "manifest.json").write_text("{not json"), {}, "out"),
     (_append_short_row, {}, "out"),
+    (_append_repeated_cell, {}, "out"),
     (lambda run: None, {"compare": {"max_deviation": {"a": 1}}}, "compare.max_deviation"),
 ], ids=["manifest-without-files", "csv-deleted", "manifest-not-json", "short-csv-row",
-        "max-deviation-not-number"])
+        "repeated-cell", "max-deviation-not-number"])
 def test_compare_on_a_bad_run_exits_2_naming_the_field(tmp_path, capsys, damage, overrides, field):
     cfg = write_cfg(tmp_path, **overrides)
     run = tmp_path / "run"
@@ -505,6 +513,26 @@ def test_cli_import_leaves_scipy_out():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                             check=True, timeout=60)
     assert result.stdout.strip() == "[]"
+
+
+def _callers_of(name, node, where="<module>"):
+    """The innermost enclosing function of every call of `name` under node."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        where = node.name
+    if isinstance(node, ast.Call) and name in (getattr(node.func, "id", None),
+                                               getattr(node.func, "attr", None)):
+        yield where
+    for child in ast.iter_child_nodes(node):
+        yield from _callers_of(name, child, where)
+
+
+def test_only_integrate_calls_integrate_field():
+    # every mean-field run then passes through meanfield.integrate, where it is traced
+    root = Path(islandsis.__file__).resolve().parent
+    callers = {(path.relative_to(root).as_posix(), fn)
+               for path in root.rglob("*.py")
+               for fn in _callers_of("integrate_field", ast.parse(path.read_text()))}
+    assert callers == {("meanfield.py", "integrate")}
 
 
 # Outputs at a common healing rate mu != 1, as written when the harness still

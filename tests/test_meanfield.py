@@ -16,7 +16,6 @@ from islandsis.meanfield import (
     _dp_attempt,
     integrate,
     integrate_field,
-    reduced_bivirus_trajectory,
     reduced_scalar_solution,
     rhs,
     validate_state,
@@ -197,6 +196,13 @@ class TestIntegrate:
             single = integrate(params, y0s[b], 10.0, t_eval=[0.0, 5.0, 10.0])
             assert np.abs(batch.states[:, b] - single.states).max() < 1e-9
 
+    @pytest.mark.parametrize("t_eval", [[math.nan, 1.0, 2.0], [0.0, math.nan, 2.0],
+                                        [0.0, 1.0, math.nan]])
+    def test_nan_sample_time_refused(self, t_eval):
+        params = MeanFieldParams.symmetric(BIP, 2.0)
+        with pytest.raises(ValueError, match="sample grid"):
+            integrate(params, np.array([[0.2], [0.1]]), 2.0, t_eval=t_eval)
+
     def test_infinite_horizon_refused(self):
         params = MeanFieldParams.symmetric(BIP, 2.0)
         with pytest.raises(ValueError, match="finite"):
@@ -356,29 +362,61 @@ class TestReducedScalar:
             reduced_scalar_solution(1, 1.0, 1.5, 1.0)
 
 
+def reduced_bivirus(d, gamma_x, gamma_y, x0, y0, t_end):
+    """The uniform two-strain reduction on a d-regular symmetric configuration,
+    integrated as the field on bipartite 1+1 at rates d*gamma; states are (x, y)
+    on island 1."""
+    params = MeanFieldParams.symmetric(BIP, (d * gamma_x, d * gamma_y))
+    traj = integrate(params, np.full((2, 2), (x0, y0)), t_end)
+    traj.states = traj.states[:, 0]
+    return traj
+
+
 class TestReducedBivirus:
     def test_extinct_strain_stays_zero(self):
-        traj = reduced_bivirus_trajectory(1, 3.0, 2.0, 0.0, 0.4, 30.0)
+        traj = reduced_bivirus(1, 3.0, 2.0, 0.0, 0.4, 30.0)
         assert np.all(traj.states[:, 0] == 0.0)
 
     def test_winner_limit(self):
-        traj = reduced_bivirus_trajectory(1, 3.0, 2.0, 0.2, 0.2, 200.0)
+        traj = reduced_bivirus(1, 3.0, 2.0, 0.2, 0.2, 200.0)
         assert abs(traj.final[0] - 2 / 3) < 1e-4
         assert abs(traj.final[1]) < 1e-4
 
     def test_subthreshold_dies(self):
-        traj = reduced_bivirus_trajectory(2, 0.4, 0.3, 0.2, 0.2, 200.0)
+        traj = reduced_bivirus(2, 0.4, 0.3, 0.2, 0.2, 200.0)
         assert np.abs(traj.final).max() < 1e-4
 
     def test_simplex_validation(self):
         with pytest.raises(ValueError):
-            reduced_bivirus_trajectory(1, 1.0, 1.0, 0.7, 0.5, 1.0)
+            reduced_bivirus(1, 1.0, 1.0, 0.7, 0.5, 1.0)
 
     def test_nan_input_refused(self):
         with pytest.raises(ValueError, match="rates"):
-            reduced_bivirus_trajectory(1, np.nan, 2.0, 0.2, 0.2, 1.0)
+            reduced_bivirus(1, np.nan, 2.0, 0.2, 0.2, 1.0)
         with pytest.raises(ValueError, match="simplex"):
-            reduced_bivirus_trajectory(1, 3.0, 2.0, np.nan, 0.2, 1.0)
+            reduced_bivirus(1, 3.0, 2.0, np.nan, 0.2, 1.0)
+
+    @pytest.mark.parametrize("net", [BIP, cycle_supernetwork(5, 1), complete_supernetwork(4, 1)],
+                             ids=["bipartite", "cycle5", "complete4"])
+    def test_integrate_matches_an_independent_solver(self, net):
+        # The scalar pair, written out and solved by scipy, against the full
+        # field from a uniform start on a d-regular network: every island
+        # stays equal bit for bit and within the envelope check's slack.
+        d = superdegree(net, 1)
+        grid = np.linspace(0.0, 60.0, 121)
+        for gx, gy in ((3.0, 2.0), (0.8, 1.7), (0.4, 0.3)):
+            def pair(t, z):
+                free = 1.0 - z[0] - z[1]
+                return [d * gx * z[0] * free - z[0], d * gy * z[1] * free - z[1]]
+
+            params = MeanFieldParams.symmetric(net, (gx, gy))
+            for x0, y0 in ((0.2, 0.3), (0.05, 0.9), (0.6, 0.01)):
+                traj = integrate(params, np.full((net.num_islands, 2), (x0, y0)), 60.0, t_eval=grid)
+                assert np.all(traj.states == traj.states[:, :1]), (d, gx, gy, x0, y0)
+                ref = solve_ivp(pair, (0.0, 60.0), [x0, y0], method="DOP853", t_eval=grid,
+                                rtol=1e-12, atol=1e-14)
+                gap = np.abs(traj.states[:, 0] - ref.y.T).max()
+                assert gap <= 1e-7, (d, gx, gy, x0, y0, gap)
 
 
 def _frozen_dp_step(f, t, y, h):

@@ -52,7 +52,7 @@ class TestEventRates:
         assert sum(r for (kind, _, _), r in table.items() if kind == INFECT) == 3
 
     def test_all_zero_is_absorbing(self):
-        table = event_rates(MacroCounts.zeros(BIP33, 1), BIP33, unit_rates())
+        table = event_rates(MacroCounts(((0,), (0,)), (3, 3)), BIP33, unit_rates())
         assert list(table.items()) == []
         assert sum(table.values()) == 0
 
@@ -120,7 +120,7 @@ class TestMacroCounts:
 class TestSimulate:
     def test_zero_initial_stays_zero(self):
         traj = simulate(
-            MacroCounts.zeros(BIP33, 1), BIP33, unit_rates(), 5.0, 1, np.linspace(0, 5, 11)
+            MacroCounts(((0,), (0,)), (3, 3)), BIP33, unit_rates(), 5.0, 1, np.linspace(0, 5, 11)
         )
         assert traj.counts.sum() == 0 and traj.n_events == 0
 
@@ -136,13 +136,16 @@ class TestSimulate:
 
     @pytest.mark.parametrize("simulator", ["count", "node"])
     def test_grid_validation(self, simulator):
-        counts = MacroCounts.zeros(BIP33, 1)
+        counts = MacroCounts(((0,), (0,)), (3, 3))
         with pytest.raises(ValueError):
             run_simulator(simulator, counts, BIP33, unit_rates(), 1.0, 0, [0.0, 2.0])
         with pytest.raises(ValueError):
             run_simulator(simulator, counts, BIP33, unit_rates(), 1.0, 0, [0.5, 0.5])
         with pytest.raises(ValueError):
             run_simulator(simulator, counts, BIP33, unit_rates(), -1.0, 0, [0.0])
+        for grid in ([math.nan, 0.5], [0.0, math.nan, 1.0], [0.0, math.nan]):
+            with pytest.raises(ValueError, match="sample grid"):
+                run_simulator(simulator, counts, BIP33, unit_rates(), 1.0, 0, grid)
 
     def test_tracks_ode_at_large_sizes(self):
         # One replication at N=2000 per island should sit near the stable
