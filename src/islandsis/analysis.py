@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .meanfield import MeanFieldParams, StepControl, integrate, rhs, validate_state
+from .meanfield import MeanFieldParams, StepControl, integrate, validate_state
 from .micro import _is_count
 from .topology import SuperNetwork, is_regular, superdegree
 
@@ -253,11 +253,7 @@ def taylor_coefficients(params: MeanFieldParams, y0: np.ndarray, n_max: int) -> 
     t = np.zeros((n_max + 1, m))  # t[n] = per-island strain totals of c[n]
     # Large rates overflow at some order; TaylorTable refuses the result.
     with np.errstate(over="ignore", invalid="ignore"):
-        if n_max >= 1:
-            c[1] = rhs(y0, params)
-        s[0] = params.pressure(c[0])
-        t[0] = c[0].sum(axis=-1)
-        for n in range(1, n_max):
+        for n in range(n_max):
             s[n] = params.pressure(c[n])
             t[n] = c[n].sum(axis=-1)
             cross = np.zeros((m, kk))

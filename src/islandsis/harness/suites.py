@@ -200,7 +200,7 @@ def _suite_bipartite_bivirus() -> SuiteReport:
     )
 
     z0 = np.array([[0.0, 0.4], [0.0, 0.2]])
-    traj = integrate(params, z0, 50.0)
+    traj = integrate(params, z0, 50.0, t_eval=np.linspace(0.0, 50.0, 101))
     stays = float(np.abs(traj.states[:, :, 0]).max())
     checks.append(
         CheckResult("extinct_strain_stays_extinct", stays == 0.0, {"max_seen": stays})
@@ -254,8 +254,7 @@ def _classification_check(rate_cases, start) -> CheckResult:
     worst = 0.0
     for group in groups.values():
         blocks, starts, targets = zip(*group)
-        # Only the endpoint is kept; the steps are those of recording every step.
-        traj = integrate(disjoint_union(blocks), np.vstack(starts), 400.0, t_eval=[400.0])
+        traj = integrate(disjoint_union(blocks), np.vstack(starts), 400.0)
         worst = max(worst, float(np.abs(traj.final - np.vstack(targets)).max()))
     cases = sum(len(group) for group in groups.values())
     return CheckResult("classification_matches_long_run", worst <= 1e-3,

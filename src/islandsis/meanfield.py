@@ -20,14 +20,14 @@ island's strain fractions in a simplex) is forward invariant for the exact
 flow; the integrator itself checks every accepted step against it instead
 of projecting, so a violation surfaces as an error rather than being masked.
 One rule, `_simplex_violation`, checks both a start (:func:`validate_state`)
-and every accepted step, and it refuses a NaN fraction.  Sample times are
-checked by the same rule as the simulators' sample grids, and a
-:class:`StepControl` refuses a bad method, tolerance or step when it is built.
+and every accepted step, and it refuses a NaN fraction.  The horizon and
+sample times are checked by the same rule as the simulators' sample grids,
+and a :class:`StepControl` refuses a bad method, tolerance or step when it
+is built.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -293,10 +293,13 @@ def integrate_field(
 
     The field must keep the product of per-island strain simplices (the last
     axis of y indexes strains) forward invariant: every accepted state is
-    checked to stay within 10x the control tolerance of it.  With t_eval
-    given, samples land exactly on those times (steps are clipped to them,
-    never interpolated); otherwise every accepted step is recorded.  An rk45
-    call evaluates f 1 + 6 * (n_steps + n_rejected) times.
+    checked to stay within 10x the control tolerance of it.  Samples are
+    taken at t_eval, by default t_end alone, and land exactly on those times:
+    steps are clipped to them, never interpolated.  Sample t_eval[i] takes
+    the state at t = 0 or after an accepted step once
+    t >= t_eval[i] - 1e-14 * max(1, t).  t_end and t_eval are checked by the
+    simulators' grid rule.
+    An rk45 call evaluates f 1 + 6 * (n_steps + n_rejected) times.
 
     Raises:
         IntegrationError: when the adaptive step underflows control.h_min,
@@ -304,23 +307,10 @@ def integrate_field(
             simplices.
     """
     control = control or StepControl()
-    if not 0 < t_end < math.inf:
-        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
+    t_eval = _prepare_grid((t_end,) if t_eval is None else t_eval, t_end)
     y = np.array(y0, dtype=float)
-    if t_eval is not None:
-        t_eval = _prepare_grid(t_eval, t_end)
-
-    times = [0.0]
-    states = [y.copy()]
-    record_all = t_eval is None
+    times, states = [], []
     ei = 0
-    if not record_all:
-        times, states = [], []
-        if t_eval[0] == 0.0:
-            times.append(0.0)
-            states.append(y.copy())
-            ei = 1
-
     slack = 10 * control.tolerance
     t = 0.0
     n_steps = 0
@@ -329,14 +319,19 @@ def integrate_field(
     h = min(0.05, t_end / 10) if adaptive else control.fixed_step
     # Overflow in an adaptive trial step is expected near rejection; it
     # surfaces as a non-finite error norm and the step is retried smaller.
-    quiet = np.errstate(over="ignore", invalid="ignore") if adaptive else contextlib.nullcontext()
-    with quiet:
+    # A fixed step has no retry, so the simplex guard refuses the state.
+    with np.errstate(over="ignore", invalid="ignore"):
         k0 = f(t, y) if adaptive else None
-        while t < t_end:
+        while True:
+            while ei < t_eval.size and t >= t_eval[ei] - 1e-14 * max(1.0, t):
+                times.append(float(t_eval[ei]))
+                states.append(y.copy())
+                ei += 1
+            if t >= t_end:
+                break
             if n_steps + n_rejected >= control.max_steps:
                 raise IntegrationError(f"step budget {control.max_steps} exhausted at t={t:g}")
-            target = t_eval[ei] if (not record_all and ei < t_eval.size) else t_end
-            h_try = min(h, target - t, t_end - t)
+            h_try = min(h, (t_eval[ei] if ei < t_eval.size else t_end) - t)
             if not adaptive:
                 y_new = _rk4_step(f, t, y, h_try)
             else:
@@ -359,14 +354,6 @@ def integrate_field(
             msg = _simplex_violation(y, slack)
             if msg:
                 raise IntegrationError(f"domain violation at t={t:g}: {msg}")
-            if record_all:
-                times.append(t)
-                states.append(y.copy())
-            else:
-                while ei < t_eval.size and t >= t_eval[ei] - 1e-14 * max(1.0, t):
-                    times.append(float(t_eval[ei]))
-                    states.append(y.copy())
-                    ei += 1
     return OdeTrajectory(
         times=np.asarray(times),
         states=np.asarray(states),
@@ -385,21 +372,20 @@ def integrate(
 ) -> OdeTrajectory:
     """Integrate the limiting dynamics from y0 over [0, t_end] in the caller's time.
 
-    The field runs in units of params.mu, to mu * t_end and sampled at
-    mu * t_eval; the trajectory reports t_eval, or its step times over mu.
-    y0 may carry leading batch dimensions over trailing (M, K); batched
-    trajectories share a single step sequence and error control.  Every
-    accepted state is asserted to stay within 10x the control tolerance of
-    the invariant domain.
+    Samples are taken at t_eval, by default t_end alone, and the trajectory
+    reports t_eval as its times.  The field runs in units of params.mu, to
+    mu * t_end and sampled at mu * t_eval.  y0 may carry leading batch
+    dimensions over trailing (M, K); batched trajectories share a single step
+    sequence and error control.  Every accepted state is asserted to stay
+    within 10x the control tolerance of the invariant domain.
     """
     control = control or StepControl()
     y0 = validate_state(y0, params, tol=10 * control.tolerance)
-    if t_eval is not None:
-        t_eval = _prepare_grid(t_eval, t_end)
+    t_eval = _prepare_grid((t_end,) if t_eval is None else t_eval, t_end)
     with np.errstate(over="ignore"):  # integrate_field refuses an overflowing horizon
-        scaled = None if t_eval is None else params.mu * t_eval
+        scaled = params.mu * t_eval
     traj = integrate_field(lambda t, y: rhs(y, params), y0, params.mu * t_end, control, scaled)
-    traj.times = traj.times / params.mu if t_eval is None else t_eval.copy()
+    traj.times = t_eval.copy()
     return traj
 
 

@@ -300,8 +300,8 @@ class MicroTrajectory:
 
 
 def _prepare_grid(sample_grid, t_end: float) -> np.ndarray:
-    if not t_end > 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     grid = np.asarray(sample_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("sample grid must be a non-empty 1-d sequence of times")

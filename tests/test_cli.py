@@ -174,6 +174,21 @@ def test_taylor_overflow_exits_2_and_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_rk4_overflow_prints_one_integration_error_line(tmp_path):
+    # in a process of its own, so numpy's warnings reach stderr as a user sees them
+    cfg = write_cfg(tmp_path, sizes=10, strains=[{"gamma": 1e150}], t_end=1, grid=3,
+                    initial={"kind": "uniform", "fraction": 0.1},
+                    integrator={"method": "rk4", "fixed_step": 0.1})
+    src = str(Path(islandsis.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-m", "islandsis.harness.cli", "meanfield", str(cfg),
+                             "--out", str(tmp_path / "out")],
+                            env=env, capture_output=True, text=True, timeout=60)
+    err = result.stderr.splitlines()
+    assert result.returncode == 2
+    assert len(err) == 1 and err[0].startswith("integration error: domain violation"), err
+
+
 def test_suite_subcommand(tmp_path, capsys):
     cfg = write_cfg(tmp_path, suite=["taylor", "appendix"])
     out = tmp_path / "suite"

@@ -175,12 +175,14 @@ class TestIntegrate:
         traj = integrate(params, np.array([[0.2], [0.1]]), 2.0, t_eval=grid)
         assert np.array_equal(traj.times, grid)
 
-    def test_default_records_every_step(self):
+    def test_default_samples_the_endpoint(self):
         params = MeanFieldParams.symmetric(BIP, 2.0)
-        traj = integrate(params, np.array([[0.2], [0.1]]), 2.0)
-        assert traj.times[0] == 0.0 and traj.times[-1] == 2.0
-        assert np.all(np.diff(traj.times) > 0)
-        assert traj.n_steps == traj.times.size - 1
+        y0 = np.array([[0.2], [0.1]])
+        traj = integrate(params, y0, 2.0)
+        ref = integrate(params, y0, 2.0, t_eval=[2.0])
+        assert np.array_equal(traj.times, [2.0]) and traj.states.shape == (1, 2, 1)
+        assert np.array_equal(traj.final, ref.final)
+        assert (traj.n_steps, traj.n_rejected) == (ref.n_steps, ref.n_rejected)
 
     def test_uniform_start_stays_uniform(self):
         params = MeanFieldParams.symmetric(cycle_supernetwork(6, 1), 1.0)
@@ -222,10 +224,10 @@ class TestIntegrate:
         ref = integrate(unit, y0, 2.5 * 1.2, control=control, t_eval=2.5 * grid)
         assert np.array_equal(mine.states, ref.states) and np.array_equal(mine.times, grid)
         assert (mine.n_steps, mine.n_rejected) == (ref.n_steps, ref.n_rejected)
-        every = integrate(healing, y0, 1.2, control=control)
-        every_ref = integrate(unit, y0, 2.5 * 1.2, control=control)
-        assert np.array_equal(every.states, every_ref.states)
-        assert np.array_equal(every.times, every_ref.times / 2.5)
+        end = integrate(healing, y0, 1.2, control=control)
+        end_ref = integrate(unit, y0, 2.5 * 1.2, control=control)
+        assert np.array_equal(end.states, end_ref.states) and np.array_equal(end.times, [1.2])
+        assert (end.n_steps, end.n_rejected) == (end_ref.n_steps, end_ref.n_rejected)
 
     def test_invalid_start_rejected(self):
         params = MeanFieldParams.symmetric(BIP, 2.0)
@@ -364,10 +366,11 @@ class TestReducedScalar:
 
 def reduced_bivirus(d, gamma_x, gamma_y, x0, y0, t_end):
     """The uniform two-strain reduction on a d-regular symmetric configuration,
-    integrated as the field on bipartite 1+1 at rates d*gamma; states are (x, y)
-    on island 1."""
+    integrated as the field on bipartite 1+1 at rates d*gamma and sampled at
+    101 evenly spaced times; states are (x, y) on island 1."""
     params = MeanFieldParams.symmetric(BIP, (d * gamma_x, d * gamma_y))
-    traj = integrate(params, np.full((2, 2), (x0, y0)), t_end)
+    grid = np.linspace(0.0, t_end, 101)
+    traj = integrate(params, np.full((2, 2), (x0, y0)), t_end, t_eval=grid)
     traj.states = traj.states[:, 0]
     return traj
 
@@ -375,7 +378,8 @@ def reduced_bivirus(d, gamma_x, gamma_y, x0, y0, t_end):
 class TestReducedBivirus:
     def test_extinct_strain_stays_zero(self):
         traj = reduced_bivirus(1, 3.0, 2.0, 0.0, 0.4, 30.0)
-        assert np.all(traj.states[:, 0] == 0.0)
+        assert traj.times.size == 101 and np.all(traj.states[:, 0] == 0.0)
+        assert np.all(traj.states[1:, 1] > 0.0)
 
     def test_winner_limit(self):
         traj = reduced_bivirus(1, 3.0, 2.0, 0.2, 0.2, 200.0)

@@ -143,6 +143,8 @@ class TestSimulate:
             run_simulator(simulator, counts, BIP33, unit_rates(), 1.0, 0, [0.5, 0.5])
         with pytest.raises(ValueError):
             run_simulator(simulator, counts, BIP33, unit_rates(), -1.0, 0, [0.0])
+        with pytest.raises(ValueError, match="t_end"):
+            run_simulator(simulator, counts, BIP33, unit_rates(), math.inf, 0, [0.0, 1.0])
         for grid in ([math.nan, 0.5], [0.0, math.nan, 1.0], [0.0, math.nan]):
             with pytest.raises(ValueError, match="sample grid"):
                 run_simulator(simulator, counts, BIP33, unit_rates(), 1.0, 0, grid)
