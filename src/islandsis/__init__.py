@@ -39,15 +39,14 @@ from .micro import (
     simulate,
 )
 from .topology import (
-    NeighborhoodShell,
     SuperNetwork,
     TopologyError,
     bipartite_supernetwork,
     build_supernetwork,
     complete_supernetwork,
     cycle_supernetwork,
+    hop_distances,
     is_regular,
-    shell,
     star_supernetwork,
     superdegree,
 )

@@ -246,6 +246,9 @@ def taylor_coefficients(params: MeanFieldParams, y0: np.ndarray, n_max: int) -> 
     if not 0 <= n_max <= MAX_TAYLOR_ORDER:
         raise ValueError(f"n_max must be within 0..{MAX_TAYLOR_ORDER}")
     y0 = validate_state(y0, params)
+    if y0.ndim != 2:
+        raise ValueError(f"y0 must be one state of shape (M, K) = {y0.shape[-2:]}, "
+                         f"got shape {y0.shape}")
     m, kk = y0.shape
     c = np.zeros((n_max + 1, m, kk))
     c[0] = y0

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ..meanfield import OdeTrajectory
-from ..micro import MicroTrajectory
+from ..micro import RNG_ALGORITHM, MicroTrajectory
 
 FORMAT_TAG = "islandsis-trajectory v1"
 HEADER = ("time", "island", "strain", "count", "fraction")
@@ -87,7 +87,7 @@ def write_micro_trajectory(path: str | Path, traj: MicroTrajectory, extra_meta: 
         "simulator": traj.simulator,
         "seed": traj.seed,
         "rep": traj.rep,
-        "rng": traj.rng_algorithm,
+        "rng": RNG_ALGORITHM,
         "n_events": traj.n_events,
         "sizes": " ".join(str(s) for s in traj.sizes),
     }

@@ -297,8 +297,9 @@ def integrate_field(
     taken at t_eval, by default t_end alone, and land exactly on those times:
     steps are clipped to them, never interpolated.  Sample t_eval[i] takes
     the state at t = 0 or after an accepted step once
-    t >= t_eval[i] - 1e-14 * max(1, t).  t_end and t_eval are checked by the
-    simulators' grid rule.
+    t >= t_eval[i] - 1e-14 * max(1, t), and the integration stops once the
+    last sample is taken.  t_end bounds the grid and sets the first adaptive
+    step; t_end and t_eval are checked by the simulators' grid rule.
     An rk45 call evaluates f 1 + 6 * (n_steps + n_rejected) times.
 
     Raises:
@@ -309,7 +310,7 @@ def integrate_field(
     control = control or StepControl()
     t_eval = _prepare_grid((t_end,) if t_eval is None else t_eval, t_end)
     y = np.array(y0, dtype=float)
-    times, states = [], []
+    states = []
     ei = 0
     slack = 10 * control.tolerance
     t = 0.0
@@ -324,14 +325,13 @@ def integrate_field(
         k0 = f(t, y) if adaptive else None
         while True:
             while ei < t_eval.size and t >= t_eval[ei] - 1e-14 * max(1.0, t):
-                times.append(float(t_eval[ei]))
                 states.append(y.copy())
                 ei += 1
-            if t >= t_end:
+            if ei == t_eval.size:
                 break
             if n_steps + n_rejected >= control.max_steps:
                 raise IntegrationError(f"step budget {control.max_steps} exhausted at t={t:g}")
-            h_try = min(h, (t_eval[ei] if ei < t_eval.size else t_end) - t)
+            h_try = min(h, t_eval[ei] - t)
             if not adaptive:
                 y_new = _rk4_step(f, t, y, h_try)
             else:
@@ -355,7 +355,7 @@ def integrate_field(
             if msg:
                 raise IntegrationError(f"domain violation at t={t:g}: {msg}")
     return OdeTrajectory(
-        times=np.asarray(times),
+        times=t_eval.copy(),
         states=np.asarray(states),
         control=control,
         n_steps=n_steps,

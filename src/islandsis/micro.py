@@ -184,6 +184,9 @@ class MacroCounts:
         one each to the largest remainders, ties to the lower strain index.
         """
         arr = np.asarray(fractions, dtype=float)
+        if arr.ndim not in (1, 2) or arr.shape[0] != net.num_islands:
+            raise ValueError(f"fractions must have shape (M,) or (M, K) with M = "
+                             f"{net.num_islands}, got shape {arr.shape}")
         if arr.ndim == 1:
             arr = arr[:, None]
         rows = []
@@ -288,7 +291,6 @@ class MicroTrajectory:
     seed: int
     rep: int
     event_totals: dict[tuple[str, int, int], int]
-    rng_algorithm: str = RNG_ALGORITHM
     simulator: str = "count-level"
 
     @property

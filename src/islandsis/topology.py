@@ -88,15 +88,6 @@ class SuperNetwork:
         return a
 
 
-@dataclass(frozen=True)
-class NeighborhoodShell:
-    """Islands at geodesic (hop) distance exactly `hop` from `center`."""
-
-    center: int
-    hop: int
-    members: frozenset[int]
-
-
 def _check_island(net: SuperNetwork, i: int) -> None:
     if not 1 <= i <= net.num_islands:
         raise TopologyError(f"island label {i} out of range 1..{net.num_islands}")
@@ -151,18 +142,6 @@ def hop_distances(net: SuperNetwork, i: int) -> dict[int, int]:
                 dist[v] = dist[u] + 1
                 queue.append(v)
     return dist
-
-
-def shell(net: SuperNetwork, i: int, n: int) -> NeighborhoodShell:
-    """Exact geodesic shell: islands at hop distance n from island i.
-
-    Hops beyond the reachable component give an empty shell.
-    """
-    if n < 0:
-        raise TopologyError(f"hop count must be >= 0, got {n}")
-    dist = hop_distances(net, i)
-    members = frozenset(j for j, d in dist.items() if d == n)
-    return NeighborhoodShell(center=i, hop=n, members=members)
 
 
 def cycle_supernetwork(num_islands: int, size: int | Sequence[int]) -> SuperNetwork:

@@ -276,6 +276,11 @@ class TestTaylor:
         with pytest.raises(ValueError):
             taylor_coefficients(self.params, self.y0, -1)
 
+    def test_batched_start_refused_naming_the_state_shape(self):
+        shapes = r"one state of shape \(M, K\) = \(8, 1\), got shape \(3, 8, 1\)"
+        with pytest.raises(ValueError, match=shapes):
+            taylor_coefficients(self.params, np.stack([self.y0] * 3), 4)
+
 
 class TestSignProbe:
     def test_documented_cases(self):

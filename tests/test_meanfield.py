@@ -252,6 +252,21 @@ class TestIntegrate:
         )
         assert np.array_equal(fixed.states, again.states)
 
+    def test_rk4_stops_at_its_last_sample(self):
+        # step 300 of 0.01 ends within 1e-14 of t = 3, close enough to take the last sample
+        params = MeanFieldParams.symmetric(cycle_supernetwork(5, 1), (2.0, 1.0))
+        y0 = np.random.default_rng(0).uniform(0.0, 0.4, (5, 2))
+        traj = integrate(params, y0, 3.0, control=StepControl(method="rk4", fixed_step=0.01),
+                         t_eval=np.linspace(0.0, 3.0, 7))
+        assert (traj.n_steps, traj.n_rejected) == (300, 0)
+
+    def test_steps_past_the_last_sample_do_not_count_against_the_budget(self):
+        params = MeanFieldParams.symmetric(BIP, 2.0)
+        control = StepControl(method="rk4", fixed_step=0.01, max_steps=1000)
+        traj = integrate(params, np.array([[0.3], [0.1]]), 100.0, control=control,
+                         t_eval=[0.0, 1.0])
+        assert traj.n_steps == 100 and np.array_equal(traj.times, [0.0, 1.0])
+
     def test_step_underflow_reported(self):
         # stiff decay inside the simplex: stability needs steps far below h_min
         with pytest.raises(IntegrationError, match="underflow"):
@@ -501,7 +516,8 @@ class TestLeanStep:
                     rhs(y, params))
         assert f_times[1:] == g_times and g_times[-1] == 0.7 + 0.03
 
-    @pytest.mark.parametrize("gamma,t_eval", [(2.0, None), (40.0, None), (3.0, [0.5, 1.0, 4.0])])
+    @pytest.mark.parametrize("gamma,t_eval", [(2.0, None), (40.0, None), (3.0, [0.5, 1.0, 4.0]),
+                                              (3.0, [0.5, 1.0, 2.0])])
     def test_integration_makes_one_field_call_plus_six_per_attempt(self, gamma, t_eval):
         params = MeanFieldParams.symmetric(cycle_supernetwork(5, 1), (gamma, gamma / 2))
         calls = []
@@ -513,5 +529,6 @@ class TestLeanStep:
         y0 = np.random.default_rng(5).uniform(0.0, 0.5, (2, 5, 2))
         traj = integrate_field(counting, y0, 4.0, t_eval=t_eval)
         assert len(calls) == 1 + 6 * (traj.n_steps + traj.n_rejected)
+        assert max(calls) <= traj.times[-1]  # the integration stops at its last sample
         if gamma == 40.0:
             assert traj.n_rejected > 0

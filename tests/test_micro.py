@@ -116,6 +116,13 @@ class TestMacroCounts:
         with pytest.raises(ValueError):
             MacroCounts.from_fractions(BIP33, [[0.7, 0.7], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("fractions", [[[0.1], [0.2], [0.3]], [0.1, 0.2, 0.9], [[0.1]],
+                                           [[[0.1]], [[0.2]]]],
+                             ids=["extra-row", "extra-entry", "missing-row", "3-d"])
+    def test_from_fractions_refuses_a_shape_other_than_one_row_per_island(self, fractions):
+        with pytest.raises(ValueError, match=r"shape \(M,\) or \(M, K\) with M = 2"):
+            MacroCounts.from_fractions(bipartite_supernetwork(10, 10), fractions)
+
 
 class TestSimulate:
     def test_zero_initial_stays_zero(self):

@@ -3,7 +3,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from islandsis.topology import (
-    NeighborhoodShell,
     TopologyError,
     bipartite_supernetwork,
     build_supernetwork,
@@ -11,7 +10,6 @@ from islandsis.topology import (
     cycle_supernetwork,
     hop_distances,
     is_regular,
-    shell,
     star_supernetwork,
     superdegree,
 )
@@ -64,21 +62,13 @@ def test_isolated_island_flagged_degenerate():
 
 def test_six_cycle_shells():
     net = cycle_supernetwork(6, 2)
-    assert shell(net, 1, 2).members == {3, 5}
-    assert shell(net, 1, 3).members == {4}
-    assert shell(net, 1, 0) == NeighborhoodShell(center=1, hop=0, members=frozenset({1}))
-    assert shell(net, 1, 4).members == frozenset()
+    assert hop_distances(net, 1) == {1: 0, 2: 1, 6: 1, 3: 2, 5: 2, 4: 3}
 
 
 def test_unreachable_shell_is_empty():
     net = build_supernetwork([1, 1, 1, 1], [(1, 2), (3, 4)])
-    assert shell(net, 1, 1).members == {2}
-    assert shell(net, 1, 2).members == frozenset()
-
-
-def test_negative_hop_rejected():
-    with pytest.raises(TopologyError):
-        shell(cycle_supernetwork(3, 1), 1, -1)
+    assert hop_distances(net, 1) == {1: 0, 2: 1}
+    assert hop_distances(net, 4) == {4: 0, 3: 1}
 
 
 def test_complete_and_bipartite_generators():
@@ -100,22 +90,23 @@ def random_nets(draw):
 @given(random_nets())
 @settings(max_examples=60, deadline=None)
 def test_shells_partition_component(net):
+    # BFS layering: the reachable islands are closed under adjacency, and an
+    # island at distance n > 0 has a neighbour at n - 1 and none nearer
     for i in range(1, net.num_islands + 1):
-        union = set()
-        total = 0
-        for n in range(net.num_islands + 1):
-            members = shell(net, i, n).members
-            assert not members & union  # shells are disjoint
-            union |= members
-            total += len(members)
-        reachable = set(hop_distances(net, i))
-        assert union == reachable
-        assert total == len(reachable)
+        dist = hop_distances(net, i)
+        assert dist[i] == 0
+        for j, n in dist.items():
+            assert set(net.neighbors[j - 1]) <= set(dist)
+            near = {dist[v] for v in net.neighbors[j - 1]}
+            assert near <= {n - 1, n, n + 1}
+            assert n == 0 or n - 1 in near
+            assert hop_distances(net, j)[i] == n
 
 
 @given(random_nets())
 @settings(max_examples=60, deadline=None)
 def test_superdegree_equals_first_shell(net):
     degs = [superdegree(net, i) for i in range(1, net.num_islands + 1)]
-    assert degs == [len(shell(net, i, 1).members) for i in range(1, net.num_islands + 1)]
+    assert degs == [sum(n == 1 for n in hop_distances(net, i).values())
+                    for i in range(1, net.num_islands + 1)]
     assert is_regular(net) == (len(set(degs)) == 1)
