@@ -98,6 +98,7 @@ def run_simulate(cfg: ExperimentConfig, out_dir: str | Path) -> dict:
         out / MANIFEST_NAME, cfg, "simulate", files, params_hash=phash,
         rng_algorithm=RNG_ALGORITHM, replications=cfg.replications, integrator=None,
         initial_counts=[list(row) for row in counts0.y],
+        stats={"n_events": [traj.n_events for traj in trajectories]},
     )
 
 

@@ -21,12 +21,18 @@ count-level simulator (`simulate`) and a full node-level one
 provided.  They induce the same law on count trajectories.
 
 `event_rates` is the exact (Fraction-valued) specification of the chain, a
-`{(kind, island, strain): rate}` dict.  Both simulators run one exact event
-loop, `_gillespie`, which checks the rates and the grid, draws the waits and
-the choices and samples the grid.  Each supplies only its state and its
-moves: `simulate` steps plain per-island counts in place on the rate formula
-of `event_rates`, `node_level_simulate` steps node states and draws the
-target of each infection attempt.
+`{(kind, island, strain): rate}` dict built from `_slot_rate`, the one copy
+of the rate formula.  Both simulators run one exact event loop, `_gillespie`,
+which checks the rates and the grid, draws the waits and the choices and
+samples the grid.  Each supplies only its state, its list of move rates and
+how a move changes them.  `simulate` keeps one rate slot per (island,
+strain, infect | heal) and, after an event at (i, k), recomputes only the
+slots it changes: the healing of (i, k), island i's infections by every
+strain, and the strain-k infection of every island i feeds.  Its cost per
+event is then a few rate evaluations plus one C-level pass over the partial
+sums, not a rebuild of the whole table.  `node_level_simulate` steps node
+states, draws the target of each infection attempt and lists its moves
+again after each effective event.
 
 Rates are stored as one row per strain over the directed island edges
 `SuperNetwork.in_edges`, the layout `meanfield` uses for its effective rates.
@@ -38,8 +44,10 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -214,24 +222,29 @@ def _in_edge_groups(net: SuperNetwork, gamma) -> list:
     return groups
 
 
-def _events(y, sizes, groups, mu) -> list:
-    """(island, strain, +1 infect | -1 heal, rate) for each event with positive rate at counts y.
+def _slot_rate(y, sizes, groups, mu, s):
+    """Rate of slot s at counts y: the one copy of the rate formula.
 
-    The one copy of the rate formula.  Islands and strains are 0-based, in
-    table order: by island, then by strain, infection before healing.
+    Slot 2 * (i * K + k) is the infection of island i by strain k, the slot
+    after it its healing (0-based, K = len(mu)); a slot with no move has rate
+    0.  The pressure adds the in-edges left to right.  Rates keep the numeric
+    type of the inputs.
     """
-    events = []
-    for i, ((sources, strain_rates), row, n_i) in enumerate(zip(groups, y, sizes)):
-        healthy = n_i - sum(row)
-        for k, rates in enumerate(strain_rates):
-            if healthy > 0:
-                pressure = sum(g * y[j][k] for g, j in zip(rates, sources))
-                if pressure > 0:
-                    events.append((i, k, 1, pressure * healthy / n_i))
-            c = row[k]
-            if c > 0:
-                events.append((i, k, -1, mu[k] * c))
-    return events
+    i, k = divmod(s >> 1, len(mu))
+    if s & 1:
+        return mu[k] * y[i][k]
+    n_i = sizes[i]
+    sources, strain_rates = groups[i]
+    pressure = 0
+    for g, j in zip(strain_rates[k], sources):
+        pressure += g * y[j][k]
+    return pressure * (n_i - sum(y[i])) / n_i
+
+
+def _slot_key(s: int, num_strains: int) -> tuple[str, int, int]:
+    """(kind, island, strain) of slot s, islands and strains 1-based."""
+    i, k = divmod(s >> 1, num_strains)
+    return HEAL if s & 1 else INFECT, i + 1, k + 1
 
 
 def _check_counts(counts: MacroCounts, net: SuperNetwork, params: StrainParams) -> None:
@@ -261,8 +274,10 @@ def event_rates(counts: MacroCounts, net: SuperNetwork, params: StrainParams) ->
     """
     _check_counts(counts, net, params)
     params.validate_for(net)
-    events = _events(counts.y, counts.sizes, _in_edge_groups(net, params.gamma), params.mu)
-    return {(INFECT if d > 0 else HEAL, i + 1, k + 1): r for i, k, d, r in events}
+    groups, kk = _in_edge_groups(net, params.gamma), params.num_strains
+    rates = (_slot_rate(counts.y, counts.sizes, groups, params.mu, s)
+             for s in range(2 * net.num_islands * kk))
+    return {_slot_key(s, kk): r for s, r in enumerate(rates) if r > 0}
 
 
 SEED_LIMIT = 2**64  # master seeds and replication indices lie in [0, SEED_LIMIT)
@@ -315,15 +330,19 @@ def _prepare_grid(sample_grid, t_end: float) -> np.ndarray:
     return grid
 
 
-def _gillespie(net, params, t_end: float, sample_grid, rng, state, moves, fire):
+def _gillespie(net, params, t_end: float, sample_grid, rng, state, rates, fire):
     """Gillespie's direct method, the one event loop of both simulators; returns (grid, samples).
 
-    `moves()` gives the moves at `state` (tuples ending in their rate) and
-    their float total; `fire(move)` applies one.  Draws per event: the wait,
-    then a uniform picking a move by linear scan (the last move if rounding
-    overruns), then whatever `fire` draws.  A grid time takes the (M, K)
-    `state` current just before any event at that instant; the loop ends
-    once the next event falls past t_end.
+    `rates` holds the float rates of the moves at `state` in a fixed order;
+    `fire(index)` applies the move at that index, updates `rates` in place
+    and returns the first index whose rate it may have changed.  Draws per
+    event: the wait, then a uniform u times the total picking the move whose
+    partial sum is the first above u (the last move with a positive rate if
+    rounding overruns), then whatever `fire` draws.  The partial sums add
+    left to right, so a zero rate is never picked; after a move only those
+    from the first changed index on are added again.  A grid time takes the
+    (M, K) `state` current just before any event at that instant; the loop
+    ends once the next event falls past t_end.
     """
     params.validate_for(net)
     if params.overflows:
@@ -333,23 +352,23 @@ def _gillespie(net, params, t_end: float, sample_grid, rng, state, moves, fire):
     sampled = np.empty((grid.size, net.num_islands, params.num_strains), dtype=np.int64)
     gi = 0
     t = 0.0
+    acc = list(accumulate(rates))
     while True:
-        options, total = moves()
+        total = acc[-1] if acc else 0.0
         t_next = t + rng.exponential(1.0 / total) if total > 0.0 else math.inf
-        while gi < grid.size and times[gi] < t_next:
+        while gi < len(times) and times[gi] < t_next:
             sampled[gi] = state
             gi += 1
         if t_next > t_end:  # so every grid time has its sample
             return grid, sampled
-        u = rng.random() * total
-        acc = 0.0
-        chosen = options[-1]
-        for move in options:
-            acc += float(move[-1])
-            if u < acc:
-                chosen = move
-                break
-        fire(chosen)
+        chosen = bisect_right(acc, rng.random() * total)
+        if chosen == len(acc):
+            chosen = max(index for index, rate in enumerate(rates) if rate > 0.0)
+        lo = fire(chosen)
+        if lo:  # acc[lo - 1] is kept: accumulate yields its initial value first
+            acc[lo - 1:] = accumulate(rates[lo:], initial=acc[lo - 1])
+        else:
+            acc = list(accumulate(rates))
         t = t_next
 
 
@@ -367,6 +386,8 @@ def simulate(
     The trajectory is piecewise constant; grid times take the value that was
     current just before any event occurring exactly at that instant.  Output
     is a deterministic function of (seed, rep).  Raises ValueError if `params.overflows`.
+    Rates are converted to float on entry, so Fraction-valued params give
+    the same trajectory as the same params as floats.
 
     Args:
         counts0: initial macrostate.
@@ -378,24 +399,30 @@ def simulate(
         rep: replication index mixed into the RNG key.
     """
     _check_counts(counts0, net, params)
-    groups = _in_edge_groups(net, params.gamma)
+    kk = params.num_strains
+    mu = [float(m) for m in params.mu]
+    groups = _in_edge_groups(net, [[float(g) for g in row] for row in params.gamma])
     y = [list(row) for row in counts0.y]  # stepped in place; an event fires only if it fits
-    totals: dict[tuple[int, int, int], int] = {}
+    slots = [_slot_rate(y, net.sizes, groups, mu, s) for s in range(2 * net.num_islands * kk)]
+    fired = [0] * len(slots)
+    # Per (island i, strain k), ascending: the slots an event there changes, i.e. its healing,
+    # island i's infections by every strain, and the strain-k infection of every island i feeds.
+    touched = [sorted([2 * (i * kk + k) + 1, *(2 * (i * kk + h) for h in range(kk)),
+                       *(2 * ((v - 1) * kk + k) for v in net.neighbors[i])])
+               for i in range(net.num_islands) for k in range(kk)]
 
-    def moves():
-        events = _events(y, net.sizes, groups, params.mu)
-        return events, float(sum(e[-1] for e in events))
-
-    def fire(event):
-        i, k, delta, _ = event
-        y[i][k] += delta
-        totals[event[:3]] = totals.get(event[:3], 0) + 1
+    def fire(s):
+        i, k = divmod(s >> 1, kk)
+        y[i][k] += -1 if s & 1 else 1
+        fired[s] += 1
+        for d in touched[s >> 1]:
+            slots[d] = _slot_rate(y, net.sizes, groups, mu, d)
+        return touched[s >> 1][0]
 
     grid, sampled = _gillespie(net, params, t_end, sample_grid, replication_rng(seed, rep),
-                               y, moves, fire)
+                               y, slots, fire)
     return MicroTrajectory(grid, sampled, net.sizes, seed, rep,
-                           {(INFECT if d > 0 else HEAL, i + 1, k + 1): n
-                            for (i, k, d), n in totals.items()})
+                           {_slot_key(s, kk): n for s, n in enumerate(fired) if n})
 
 
 def node_level_simulate(
@@ -429,28 +456,28 @@ def node_level_simulate(
     attempt = {(k, u): [] for k in range(1, kk + 1) for u in range(1, m + 1)}
     for k, rates in enumerate(params.gamma, start=1):
         for (u, v), g in zip(net.in_edge_pairs, rates):
-            attempt[(k, u)].append((v, g))
+            attempt[(k, u)].append((v, float(g)))
+    mu = [float(r) for r in params.mu]
 
     rng = replication_rng(seed, rep)
     totals: dict[tuple[str, int, int], int] = {}
+    choices, rates = [], []  # (island0, node, strain, target island or 0 for heal), and its rate
 
     def moves():
-        choices = []  # (island0, node, strain, target_island or 0 for heal, rate)
-        total = 0.0
+        choices.clear()
+        rates.clear()
         for i0, row in enumerate(states):
             for node, s in enumerate(row):
                 if not s:
                     continue
-                r = params.mu[s - 1]
-                choices.append((i0, node, s, 0, r))
-                total += r
+                choices.append((i0, node, s, 0))
+                rates.append(mu[s - 1])
                 for v, g in attempt[(s, i0 + 1)]:
-                    choices.append((i0, node, s, v, g))
-                    total += g
-        return choices, total
+                    choices.append((i0, node, s, v))
+                    rates.append(g)
 
-    def fire(choice):
-        i0, node, s, target, _ = choice
+    def fire(index):
+        i0, node, s, target = choices[index]
         if target == 0:
             states[i0][node] = 0
             counts[i0][s - 1] -= 1
@@ -458,11 +485,14 @@ def node_level_simulate(
         else:
             victim = int(rng.integers(net.sizes[target - 1]))
             if states[target - 1][victim]:
-                return  # blocked attempt: time advanced, state unchanged
+                return len(rates)  # blocked attempt: time advanced, state unchanged
             states[target - 1][victim] = s
             counts[target - 1][s - 1] += 1
             key = (INFECT, target, s)
         totals[key] = totals.get(key, 0) + 1
+        moves()
+        return 0
 
-    grid, sampled = _gillespie(net, params, t_end, sample_grid, rng, counts, moves, fire)
+    moves()
+    grid, sampled = _gillespie(net, params, t_end, sample_grid, rng, counts, rates, fire)
     return MicroTrajectory(grid, sampled, net.sizes, seed, rep, totals, simulator="node-level")

@@ -4,7 +4,8 @@ Each hash covers the sampled counts, the number of events and the per-event
 totals of one `simulate` or `node_level_simulate` call.  The count-level
 values were recorded before that event loop was rewritten to step plain
 counts in place, the node-level ones before both simulators were moved onto
-one shared event loop; a refactor of either simulator must reproduce them bit
+one shared event loop, and the 64-island cycle and the star before the
+count-level loop recomputed only the rate slots an event changes; a refactor of either simulator must reproduce them bit
 for bit.  A deliberate stream change must update them and document the change.
 """
 
@@ -17,7 +18,12 @@ import pytest
 
 from islandsis import micro
 from islandsis.micro import MacroCounts, StrainParams, edge_rows, node_level_simulate, simulate
-from islandsis.topology import bipartite_supernetwork, build_supernetwork, cycle_supernetwork
+from islandsis.topology import (
+    bipartite_supernetwork,
+    build_supernetwork,
+    cycle_supernetwork,
+    star_supernetwork,
+)
 
 
 def trajectory_digest(traj) -> str:
@@ -62,6 +68,26 @@ def _cycle_two_strains(run):
     return run(net, params, counts0, 3.0, 99, np.linspace(0.0, 3.0, 7), 1)
 
 
+def _cycle64_two_strains(run):
+    # M = 64: an event touches a few of the 256 rate slots, so a wrong neighbour update shows
+    net = cycle_supernetwork(64, 20)
+    params = StrainParams.uniform(net, (1.6, 1.3), (1.0, 1.2))
+    counts0 = MacroCounts(tuple(((i * 7) % 5, (i * 3) % 4) for i in range(64)), net.sizes)
+    return run(net, params, counts0, 1.5, 31, np.linspace(0.0, 1.5, 7), 3)
+
+
+def _star_unequal(run):
+    # a hub of 40 feeding seven leaves of unequal sizes, a distinct rate on every edge and strain
+    net = star_supernetwork(8, [40, 5, 12, 3, 25, 8, 17, 9])
+    rates = {}
+    for k in (1, 2):
+        for e, (j, i) in enumerate(net.in_edge_pairs):
+            rates[(k, j, i)] = 0.4 + 0.15 * e + 0.7 * k
+    params = StrainParams(net, edge_rows(net, rates, (1, 2)), (1.1, 0.9))
+    counts0 = MacroCounts(((6, 3), (1, 0), (0, 2), (1, 1), (0, 0), (2, 0), (0, 4), (1, 0)), net.sizes)
+    return run(net, params, counts0, 4.0, 5, np.linspace(0.0, 4.0, 9), 1)
+
+
 def _count_level(net, params, counts0, t_end, seed, grid, rep):
     return simulate(counts0, net, params, t_end, seed, grid, rep=rep)
 
@@ -78,9 +104,13 @@ GOLDEN = {
     "converge-1600": _converge_shape,
     "path-2325-k2": lambda: _path_two_strains(_count_level),
     "cycle8x40-k2": lambda: _cycle_two_strains(_count_level),
+    "cycle64x20-k2": lambda: _cycle64_two_strains(_count_level),
+    "star8-unequal-k2": lambda: _star_unequal(_count_level),
     **{f"node-c9-rep{rep}": (lambda rep=rep: _c9_shape(_node_level, 13, rep)) for rep in range(10)},
     "node-path-2325-k2": lambda: _path_two_strains(_node_level),
     "node-cycle8x40-k2": lambda: _cycle_two_strains(_node_level),
+    "node-cycle64x20-k2": lambda: _cycle64_two_strains(_node_level),
+    "node-star8-unequal-k2": lambda: _star_unequal(_node_level),
 }
 
 GOLDEN_SHA256 = {
@@ -95,6 +125,8 @@ GOLDEN_SHA256 = {
     "c9-rep8": "2d9da54ae8a1e00dd2d4c6866333304de478925fe7a05e053a80e1543a3c9087",
     "c9-rep9": "2d9da54ae8a1e00dd2d4c6866333304de478925fe7a05e053a80e1543a3c9087",
     "converge-1600": "5504d4005863670b3532015b96f046f2bcb3349dd6c32b093fc87c9fc4e54148",
+    "cycle64x20-k2": "772eef426a18a29af56ccbf1b5e9a561ebb2d1bd5cc774a237d59cbedb006768",
+    "star8-unequal-k2": "878fb62e6cbb9e795b4c32c8b7773366713083a54a2752bbb50af1929ba16638",
     "cycle8x40-k2": "13f305e874310277e50758fa4452a3265133723d035cdf6a1be595387218e11c",
     "path-2325-k2": "89ed00839eb2a5732f1cb9726cfa55152dcea32e8c034ff551d9ee32a03e4286",
     "node-c9-rep0": "2d9da54ae8a1e00dd2d4c6866333304de478925fe7a05e053a80e1543a3c9087",
@@ -107,6 +139,8 @@ GOLDEN_SHA256 = {
     "node-c9-rep7": "f211b01613366c214eb1b10d654012f3a7aebe647d991db2ac287a56dbc276da",
     "node-c9-rep8": "db5f6b431afe35c7557c9ae9553f447b0ed10e273216c89c1abf6d3c7f88eb07",
     "node-c9-rep9": "2d9da54ae8a1e00dd2d4c6866333304de478925fe7a05e053a80e1543a3c9087",
+    "node-cycle64x20-k2": "26a5ddce2989e6c25c60630b8e8cd9623301fcc723a2416b1215c67456255c68",
+    "node-star8-unequal-k2": "368293de226354b9bd7e98294bb0a33a4945396b46ebc9616b5b90543d836af1",
     "node-cycle8x40-k2": "9a7fb7bc2fe8a11d89e1a52946a75621dcf3afd84a0e32930d4c94bf3bc08a05",
     "node-path-2325-k2": "9000f5c38adc9187a2b024e9652a952bf084bdcf561c1e986e545ddb0b1008e1",
 }

@@ -286,6 +286,13 @@ class TestRunSimulate:
         stored = read_manifest(tmp_path / "manifest.json")
         assert stored["config_hash"] == canonical_hash(cfg_with().resolved())
 
+    def test_manifest_stats_count_each_replications_events(self, tmp_path):
+        manifest = run_simulate(cfg_with(), tmp_path)
+        per_file = [int(read_trajectory(tmp_path / name).metadata["n_events"])
+                    for name in manifest["files"]]
+        assert read_manifest(tmp_path / "manifest.json")["stats"] == {"n_events": per_file}
+        assert len(per_file) == 3 and min(per_file) > 0
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         run_simulate(cfg_with(), a)

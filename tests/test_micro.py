@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from islandsis import micro
 from islandsis.meanfield import MeanFieldParams, integrate
 from islandsis.micro import (
     HEAL,
@@ -15,7 +18,7 @@ from islandsis.micro import (
     replication_rng,
     simulate,
 )
-from islandsis.topology import bipartite_supernetwork, build_supernetwork
+from islandsis.topology import bipartite_supernetwork, build_supernetwork, cycle_supernetwork
 
 BIP33 = bipartite_supernetwork(3, 3)
 
@@ -190,6 +193,125 @@ class TestSimulate:
                     assert moved == infections - heals
             assert traj.counts.min() >= 0
             assert np.all(traj.counts.sum(axis=2) <= np.asarray(net.sizes))
+
+
+def _watch_events(monkeypatch, watch):
+    """Call watch(net, params, state, rates, index) before the first event of `_gillespie`
+    (index None) and after every event (the index of the move fired)."""
+    loop = micro._gillespie
+
+    def watched(net, params, t_end, grid, rng, state, rates, fire):
+        def fire_and_watch(index):
+            lo = fire(index)
+            watch(net, params, state, rates, index)
+            return lo
+
+        watch(net, params, state, rates, None)
+        return loop(net, params, t_end, grid, rng, state, rates, fire_and_watch)
+
+    monkeypatch.setattr(micro, "_gillespie", watched)
+
+
+class _Enough(Exception):
+    pass
+
+
+@st.composite
+def slot_table_cases(draw):
+    """A network of unequal sizes, K = 1-3, a distinct float rate per edge and strain, and counts."""
+    m = draw(st.integers(2, 5))
+    sizes = draw(st.lists(st.integers(1, 12), min_size=m, max_size=m, unique=True))
+    pairs = [(a, b) for a in range(1, m + 1) for b in range(a + 1, m + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    net = build_supernetwork(sizes, edges)
+    kk = draw(st.integers(1, 3))
+    rates = draw(st.lists(st.floats(0.2, 6.0), min_size=kk * (len(net.in_edge_pairs) + 1),
+                          max_size=kk * (len(net.in_edge_pairs) + 1), unique=True))
+    gamma = tuple(tuple(rates[k * len(net.in_edge_pairs):(k + 1) * len(net.in_edge_pairs)])
+                  for k in range(kk))
+    params = StrainParams(net, gamma, tuple(rates[-kk:]))
+    rows = []
+    for n in sizes:
+        row = []
+        for _ in range(kk):
+            row.append(draw(st.integers(0, n - sum(row))))
+        rows.append(row)
+    if not any(map(sum, rows)):
+        rows[0][0] = 1  # at least one infected node
+    return net, params, MacroCounts(tuple(map(tuple, rows)), net.sizes), draw(st.integers(0, 2**32))
+
+
+class TestSlotTable:
+    @settings(max_examples=40, deadline=None)
+    @given(case=slot_table_cases())
+    def test_slots_equal_event_rates_after_every_event(self, case):
+        # The slots are updated in place and event_rates recomputes every rate; both use
+        # the one rate formula on the same float params, so they agree exactly.
+        net, params, counts0, seed = case
+        left = []  # the moves at the start and after each event
+
+        def check(net, params, state, rates, index):
+            table = event_rates(MacroCounts(tuple(map(tuple, state)), net.sizes), net, params)
+            nonzero = [(s, r) for s, r in enumerate(rates) if r != 0]
+            assert [micro._slot_key(s, params.num_strains) for s, _ in nonzero] == list(table)
+            assert [r for _, r in nonzero] == list(table.values())
+            left.append(table)
+            if len(left) > 50:
+                raise _Enough
+
+        with pytest.MonkeyPatch.context() as mp:
+            _watch_events(mp, check)
+            try:
+                traj = simulate(counts0, net, params, 1e6, seed, [0.0])
+            except _Enough:
+                return
+        # fewer than 50 events: the chain reached the all-healthy state
+        assert traj.n_events == len(left) - 1 and left[-1] == {}
+
+    def test_an_event_recomputes_only_the_slots_it_changes(self, monkeypatch):
+        # 64-island cycle, K = 2: an event at island i recomputes at most K + 1 + deg(i) = 5
+        # of the 2 * M * K = 256 slots, whatever M is
+        net = cycle_supernetwork(64, 20)
+        params = StrainParams.uniform(net, (1.6, 1.3), (1.0, 1.2))
+        counts0 = MacroCounts(tuple(((i * 7) % 5, (i * 3) % 4) for i in range(64)), net.sizes)
+        calls = []
+        slot_rate = micro._slot_rate
+        monkeypatch.setattr(micro, "_slot_rate", lambda *args: calls.append(args[-1]) or slot_rate(*args))
+        per_event = []
+
+        def count(net, params, state, rates, index):
+            if index is None:  # the table built before the first event
+                assert len(calls) == len(rates) == 256
+                calls.clear()
+                return
+            i = (index >> 1) // params.num_strains
+            per_event.append((len(calls), params.num_strains + 1 + len(net.neighbors[i])))
+            calls.clear()
+
+        _watch_events(monkeypatch, count)
+        traj = simulate(counts0, net, params, 0.5, 3, [0.0, 0.5])
+        assert traj.n_events == len(per_event) > 100
+        assert all(n <= bound == 5 for n, bound in per_event)
+
+    def test_fraction_params_give_the_float_params_trajectory(self, monkeypatch):
+        # simulate converts rates to float on entry; no rate here is exact in binary, so
+        # rates formed in exact arithmetic would differ from these in their last bits
+        net = build_supernetwork([3, 5, 4], [(1, 2), (2, 3)])
+        exact = StrainParams(net, tuple(tuple(Fraction(10 + 3 * e + k, 3) for e in range(4))
+                                        for k in range(2)), (Fraction(11, 10), Fraction(4, 3)))
+        as_float = StrainParams(net, tuple(tuple(map(float, row)) for row in exact.gamma),
+                                tuple(map(float, exact.mu)))
+        counts0 = MacroCounts(((1, 1), (0, 2), (2, 0)), net.sizes)
+        tables = []
+        _watch_events(monkeypatch, lambda net, params, state, rates, index: tables.append(list(rates)))
+        for rep in range(3):
+            a = simulate(counts0, net, exact, 3.0, 17, np.linspace(0, 3, 31), rep=rep)
+            exact_tables, tables[:] = tables[:], []
+            b = simulate(counts0, net, as_float, 3.0, 17, np.linspace(0, 3, 31), rep=rep)
+            assert a.n_events > 0
+            assert np.array_equal(a.counts, b.counts) and a.event_totals == b.event_totals
+            assert exact_tables == tables and all(type(r) is float for t in tables for r in t)
+            tables.clear()
 
 
 class TestNodeLevel:
