@@ -11,8 +11,11 @@ Counts are integers for micro trajectories and empty for ODE rows.  Floats
 are written with 17 significant digits so doubles round-trip losslessly.
 Rows are emitted densely: for every time, every (island, strain) pair in
 order.  Timestamps never appear in trajectory files; they live only in the
-run manifest.  Each file is written beside its target, then renamed over it
-(`_write_atomic`), so a failed write leaves the previous file and no temporary file.
+run manifest.  A trajectory is streamed into a temporary file beside its
+target one sample time at a time, so a write holds one time's rows in memory,
+and the file is then renamed over the target (`_write_atomic`): a failed write
+leaves the previous file and no temporary file.  `read_trajectory` parses the
+body in bulk, one split for the whole body and one conversion per column.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +36,7 @@ from ..micro import RNG_ALGORITHM, MicroTrajectory
 
 FORMAT_TAG = "islandsis-trajectory v1"
 HEADER = ("time", "island", "strain", "count", "fraction")
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _fmt(x: float) -> str:
@@ -52,30 +57,28 @@ class TrajectoryData:
         return self.metadata.get("kind", "unknown")
 
 
-def _render(times, fractions, counts, metadata: dict) -> str:
-    buf = io.StringIO()
-    buf.write(f"# {FORMAT_TAG}\n")
-    for key, value in metadata.items():
-        buf.write(f"# {key}: {value}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(HEADER)
+def _render(times, fractions, counts, metadata: dict) -> Iterator[str]:
+    """Yield the file: its head, then one chunk of M*K rows per sample time."""
+    yield "".join([f"# {FORMAT_TAG}\n", *(f"# {key}: {value}\n" for key, value in metadata.items()),
+                   ",".join(HEADER) + "\n"])
     n_t, m, kk = fractions.shape
+    middles = [f",{i},{k}," for i in range(1, m + 1) for k in range(1, kk + 1)]
+    no_counts = [""] * (m * kk)
     for ti in range(n_t):
-        t_str = _fmt(times[ti])
-        for i in range(m):
-            for k in range(kk):
-                count = "" if counts is None else str(int(counts[ti, i, k]))
-                writer.writerow([t_str, i + 1, k + 1, count, _fmt(fractions[ti, i, k])])
-    return buf.getvalue()
+        t = _fmt(times[ti])
+        row_counts = no_counts if counts is None else counts[ti].ravel().tolist()
+        yield "".join([f"{t}{middle}{count},{x:.17g}\n"
+                       for middle, count, x in zip(middles, row_counts, fractions[ti].ravel().tolist())])
 
 
-def _write_atomic(path: str | Path, text: str) -> None:
-    """Write `text` beside `path` (creating its directory), then rename it over `path`."""
+def _write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write `chunks` beside `path` (creating its directory), then rename it over `path`."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text)
+        with open(tmp, "w") as fh:
+            fh.writelines(chunks)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
@@ -115,64 +118,115 @@ def write_ode_trajectory(
     _write_atomic(path, _render(t, states, None, meta))
 
 
+def _fields(line: str) -> list[str]:
+    """The fields of one data row, as a refusal names them."""
+    return line.split(",") if line else []
+
+
+def _count(text: str) -> int:
+    return int(text) if text else -1  # a missing count is refused with a negative one
+
+
+def _first_unparsable(texts: list[str], convert) -> int:
+    """The index of the first text `convert` refuses, or len(texts)."""
+    for n, text in enumerate(texts):
+        try:
+            convert(text)
+        except ValueError:
+            return n
+    return len(texts)
+
+
+def _parse_rows(path: str | Path, rows: list[str]):
+    """Parse data rows in bulk: one split of the whole body, one map per column.
+
+    Returns (times, fractions, islands, strains, counts); counts is None when
+    no row has one.  Raises ValueError naming the first faulty row.
+    """
+    n = len(rows)
+    commas = np.fromiter(map(str.count, rows, repeat(",")), np.intp, n)
+    misshapen = np.flatnonzero(commas != 4)
+    end = int(misshapen[0]) if misshapen.size else n
+    fields = ",".join(rows[:end]).split(",") if end else []
+    columns = [fields[j::5] for j in range(5)]
+    converters = (float, int, int, _count if any(columns[3]) else None, float)
+    parsed = []
+    for texts, convert in zip(columns, converters):
+        try:
+            parsed.append(None if convert is None else list(map(convert, texts)))
+        except ValueError:
+            end = min(end, _first_unparsable(texts, convert))
+    if end < n:
+        if end:
+            _parse_rows(path, rows[:end])  # a fault in an earlier row is the one named
+        raise ValueError(f"{path}: malformed row {_fields(rows[end])}")
+    t, islands, strains, counts, frac = parsed
+    times, fractions = np.array(t), np.array(frac)
+    placed = np.isfinite(times) & (times >= 0)
+    if min(islands) < 1 or min(strains) < 1:
+        placed &= np.array([i >= 1 and k >= 1 for i, k in zip(islands, strains)])
+    checks = [(placed, "needs a finite time >= 0 and 1-based indices"),
+              (np.isfinite(fractions), "needs a finite fraction")]
+    if counts is not None:
+        checks.append((np.array([0 <= c <= _INT64_MAX for c in counts]),
+                       "needs a count from 0 to 2**63 - 1, as the file's rows carry counts"))
+    faults = [(int(np.argmin(ok)), order) for order, (ok, _) in enumerate(checks) if not ok.all()]
+    if faults:
+        row, order = min(faults)
+        raise ValueError(f"{path}: row {_fields(rows[row])} {checks[order][1]}")
+    return times, fractions, islands, strains, counts
+
+
 def read_trajectory(path: str | Path) -> TrajectoryData:
     """Parse a trajectory CSV back into arrays.
 
     Raises:
         OSError: when the file cannot be read.
         ValueError: naming the file, on a missing format tag or header, a
-            malformed or out-of-range row, or a missing or repeated cell.
+            malformed or out-of-range row (a time that is not finite and >= 0,
+            an index below 1, a fraction that is not finite, or a missing or
+            negative count in a file with counts), or a missing or repeated cell.
     """
     lines = Path(path).read_text(errors="replace").splitlines()
     if not lines or lines[0] != f"# {FORMAT_TAG}":
         raise ValueError(f"{path}: not an islandsis trajectory file")
     metadata: dict[str, str] = {}
-    body_start = 1
-    for idx, line in enumerate(lines[1:], start=1):
-        if not line.startswith("# "):
-            body_start = idx
-            break
-        key, _, value = line[2:].partition(": ")
+    head = 1
+    while head < len(lines) and lines[head].startswith("# "):
+        key, _, value = lines[head][2:].partition(": ")
         metadata[key] = value
-    rows = list(csv.reader(lines[body_start:]))
-    if not rows or tuple(rows[0]) != HEADER:
+        head += 1
+    if head == len(lines) or tuple(lines[head].split(",")) != HEADER:
         raise ValueError(f"{path}: missing column header {HEADER}")
-    if len(rows) == 1:
+    if head + 1 == len(lines):
         raise ValueError(f"{path}: no data rows")
-    parsed = []
-    for row in rows[1:]:
-        try:
-            t, i, k, count, frac = row
-            cell = (float(t), int(i), int(k), int(count) if count else None, float(frac))
-        except ValueError:
-            raise ValueError(f"{path}: malformed row {row}") from None
-        if not (math.isfinite(cell[0]) and cell[0] >= 0 and cell[1] >= 1 and cell[2] >= 1):
-            raise ValueError(f"{path}: row {row} needs a finite time >= 0 and 1-based indices")
-        parsed.append(cell)
-    m, kk = max(p[1] for p in parsed), max(p[2] for p in parsed)
-    times = sorted({p[0] for p in parsed})
-    t_index = {t: n for n, t in enumerate(times)}
-    fractions = np.full((len(times), m, kk), np.nan)
-    has_counts = any(p[3] is not None for p in parsed)
-    counts = np.zeros((len(times), m, kk), dtype=np.int64) if has_counts else None
-    for t, i, k, count, frac in parsed:
-        ti = t_index[t]
-        fractions[ti, i - 1, k - 1] = frac
-        if has_counts:
-            counts[ti, i - 1, k - 1] = count or 0
-    if np.any(np.isnan(fractions)):
-        raise ValueError(f"{path}: sparse rows; every (time, island, strain) cell is required")
-    if len(parsed) != fractions.size:
-        raise ValueError(f"{path}: {len(parsed)} rows for {fractions.size} cells; "
+    times, values, islands, strains, counts = _parse_rows(path, lines[head + 1:])
+    grid, ti = np.unique(times, return_inverse=True)
+    m, kk = max(islands), max(strains)
+    n_cells = grid.size * m * kk
+    sparse = f"{path}: sparse rows; every (time, island, strain) cell is required"
+    if len(values) < n_cells:  # also keeps a huge index from sizing the arrays
+        raise ValueError(sparse)
+    cell = (ti * m + np.array(islands) - 1) * kk + np.array(strains) - 1
+    fractions = np.full(n_cells, np.nan)
+    fractions[cell] = values  # every value is finite, so a NaN left is a missing cell
+    if np.isnan(fractions).any():
+        raise ValueError(sparse)
+    if len(values) != n_cells:
+        raise ValueError(f"{path}: {len(values)} rows for {n_cells} cells; "
                          "each (time, island, strain) cell must appear once")
+    if counts is not None:
+        counts_out = np.zeros(n_cells, dtype=np.int64)
+        counts_out[cell] = counts
+        counts = counts_out.reshape(grid.size, m, kk)
     return TrajectoryData(
-        metadata=metadata, times=np.asarray(times), fractions=fractions, counts=counts
+        metadata=metadata, times=grid, fractions=fractions.reshape(grid.size, m, kk), counts=counts
     )
 
 
 def write_manifest(path: str | Path, manifest: dict) -> None:
     """Write `manifest` as indented JSON with sorted keys (see `_write_atomic`)."""
-    _write_atomic(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_atomic(path, (json.dumps(manifest, indent=2, sort_keys=True) + "\n",))
 
 
 def read_manifest(path: str | Path) -> dict:
@@ -240,5 +294,5 @@ def emit_plot_data(
                     emit("stderr", np.zeros_like(stack[0]))
             if odes:
                 emit("ode", odes[0].fractions)
-    _write_atomic(out_path, out.getvalue())
+    _write_atomic(out_path, (out.getvalue(),))
     return n_rows

@@ -412,15 +412,25 @@ def _append_repeated_cell(run):
         fh.write("1,2,1,30,1\n")
 
 
+def _edit_last_row(run, field, value):
+    path = run / "traj_rep0000.csv"
+    lines = path.read_text().splitlines()
+    row = lines[-1].split(",")
+    row[field] = value
+    path.write_text("\n".join(lines[:-1] + [",".join(row)]) + "\n")
+
+
 @pytest.mark.parametrize("damage, overrides, field", [
     (_drop_files, {}, "out"),
     (lambda run: (run / "traj_rep0001.csv").unlink(), {}, "out"),
     (lambda run: (run / "manifest.json").write_text("{not json"), {}, "out"),
     (_append_short_row, {}, "out"),
     (_append_repeated_cell, {}, "out"),
+    (lambda run: _edit_last_row(run, 4, "inf"), {}, "out"),
+    (lambda run: _edit_last_row(run, 3, ""), {}, "out"),
     (lambda run: None, {"compare": {"max_deviation": {"a": 1}}}, "compare.max_deviation"),
 ], ids=["manifest-without-files", "csv-deleted", "manifest-not-json", "short-csv-row",
-        "repeated-cell", "max-deviation-not-number"])
+        "repeated-cell", "fraction-inf", "count-missing", "max-deviation-not-number"])
 def test_compare_on_a_bad_run_exits_2_naming_the_field(tmp_path, capsys, damage, overrides, field):
     cfg = write_cfg(tmp_path, **overrides)
     run = tmp_path / "run"

@@ -1,7 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from islandsis.harness.config import ConfigError, ExperimentConfig, canonical_hash
 from islandsis.harness.experiments import (
@@ -21,8 +24,8 @@ from islandsis.harness.trajio import (
     write_micro_trajectory,
     write_ode_trajectory,
 )
-from islandsis.meanfield import MeanFieldParams, integrate
-from islandsis.micro import MacroCounts, StrainParams, simulate
+from islandsis.meanfield import MeanFieldParams, OdeTrajectory, StepControl, integrate
+from islandsis.micro import RNG_ALGORITHM, MacroCounts, MicroTrajectory, StrainParams, simulate
 from islandsis.topology import bipartite_supernetwork, complete_supernetwork, cycle_supernetwork
 
 BASE = {
@@ -128,6 +131,32 @@ class TestConfig:
         assert canonical_hash({"a": 1, "b": 2}) == canonical_hash({"b": 2, "a": 1})
 
 
+_TAG = "# islandsis-trajectory v1\n"
+_HEAD = _TAG + "# kind: meanfield\ntime,island,strain,count,fraction\n"
+
+_SUBNORMALS = st.floats(min_value=-2.2250738585072009e-308, max_value=2.2250738585072009e-308)
+_FRACTIONS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1.0, 1 - 2**-53, 1 + 2**-52]),
+    _SUBNORMALS,
+    st.floats(min_value=1 - 1e-9, max_value=1 + 1e-9),
+    st.floats(min_value=-1e-6, max_value=1.5),
+)
+
+
+@st.composite
+def _trajectories(draw):
+    """(kind, times, values, sizes): ODE fractions, or micro counts with their island sizes."""
+    n_t, m, kk = draw(st.integers(1, 6)), draw(st.integers(1, 7)), draw(st.integers(1, 3))
+    times = sorted(draw(st.lists(st.one_of(st.just(0.0), _SUBNORMALS.map(abs), st.floats(0.0, 1e9)),
+                                 min_size=n_t, max_size=n_t, unique=True)))
+    cells = st.lists(_FRACTIONS, min_size=n_t * m * kk, max_size=n_t * m * kk)
+    if draw(st.booleans()):
+        return "ode", times, np.array(draw(cells)).reshape(n_t, m, kk), None
+    sizes = tuple(draw(st.lists(st.integers(1, 2**62), min_size=m, max_size=m)))
+    counts = draw(st.lists(st.integers(0, 2**63 - 1), min_size=n_t * m * kk, max_size=n_t * m * kk))
+    return "micro", times, np.array(counts, dtype=np.int64).reshape(n_t, m, kk), sizes
+
+
 class TestTrajIO:
     def test_micro_roundtrip_exact(self, tmp_path):
         net = bipartite_supernetwork(7, 5)
@@ -165,6 +194,42 @@ class TestTrajIO:
         path.write_text("time,island\n0,1\n")
         with pytest.raises(ValueError, match="not an islandsis trajectory"):
             read_trajectory(path)
+
+    @pytest.mark.parametrize("text, message", [
+        ("time,island,strain,count,fraction\n0,1,1,,0.5\n", "not an islandsis trajectory file"),
+        (_TAG + "# kind: meanfield\n0,1,1,,0.5\n",
+         "missing column header ('time', 'island', 'strain', 'count', 'fraction')"),
+        (_TAG + "# kind: meanfield\n", "missing column header ('time', 'island', 'strain', 'count', 'fraction')"),
+        (_HEAD, "no data rows"),
+        (_HEAD + "0,1,1,0.5\n", "malformed row ['0', '1', '1', '0.5']"),
+        (_HEAD + "0,1,1,,0.5,7\n", "malformed row ['0', '1', '1', '', '0.5', '7']"),
+        (_HEAD + "0,1,1,,0.5\n\n1,1,1,,0.5\n", "malformed row []"),
+        (_HEAD + "0,1,1,,half\n", "malformed row ['0', '1', '1', '', 'half']"),
+        (_HEAD + "0,1.5,1,,0.5\n", "malformed row ['0', '1.5', '1', '', '0.5']"),
+        (_HEAD + "inf,1,1,,0.5\n", "row ['inf', '1', '1', '', '0.5'] needs a finite time >= 0 and 1-based indices"),
+        (_HEAD + "nan,1,1,,0.5\n", "row ['nan', '1', '1', '', '0.5'] needs a finite time >= 0 and 1-based indices"),
+        (_HEAD + "-1,1,1,,0.5\n", "row ['-1', '1', '1', '', '0.5'] needs a finite time >= 0 and 1-based indices"),
+        (_HEAD + "0,0,1,,0.5\n", "row ['0', '0', '1', '', '0.5'] needs a finite time >= 0 and 1-based indices"),
+        (_HEAD + "0,1,0,,0.5\n", "row ['0', '1', '0', '', '0.5'] needs a finite time >= 0 and 1-based indices"),
+        # the first faulty row is the one named, whatever its fault
+        (_HEAD + "0,1,1,,0.5\n-1,1,1,,0.5\n0,1\n", "row ['-1', '1', '1', '', '0.5'] needs a finite time >= 0 "
+         "and 1-based indices"),
+        (_HEAD + "0,1,1,,0.5\n0,1\n-1,1,1,,0.5\n", "malformed row ['0', '1']"),
+        (_HEAD + "0,1,1,,x\n-1,1,1,,0.5\n", "malformed row ['0', '1', '1', '', 'x']"),
+        (_HEAD + "0,1,1,,0.5\n0,2,1,,0.5\n1,1,1,,0.5\n",
+         "sparse rows; every (time, island, strain) cell is required"),
+        (_HEAD + "0,1,1,,0.5\n0,1,1,,0.5\n",
+         "2 rows for 1 cells; each (time, island, strain) cell must appear once"),
+    ], ids=["no-format-tag", "no-header", "no-header-no-body", "no-data-rows", "four-fields", "six-fields",
+            "blank-line", "non-numeric", "non-integer-island", "inf-time", "nan-time", "negative-time",
+            "island-0", "strain-0", "range-before-malformed", "malformed-before-range",
+            "malformed-before-range-same-columns", "missing-cell", "repeated-cell"])
+    def test_refusal_messages(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_trajectory(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_failed_manifest_write_keeps_the_previous_one(self, tmp_path, monkeypatch):
         path = tmp_path / "manifest.json"
@@ -218,6 +283,103 @@ class TestTrajIO:
             write(path, 1)
         assert path.read_bytes() == before
         assert [p.name for p in path.parent.iterdir()] == ["file.csv"]
+
+        # a write that fails after its first chunk has gone into the temporary file
+        monkeypatch.undo()
+        write_atomic, written = trajio._write_atomic, []
+
+        def fail_after_first_chunk(target, chunks):
+            def stream():
+                chunk = next(iter(chunks))
+                written.append(chunk)
+                yield chunk
+                raise OSError("disk full")
+
+            write_atomic(target, stream())
+
+        monkeypatch.setattr(trajio, "_write_atomic", fail_after_first_chunk)
+        with pytest.raises(OSError, match="disk full"):
+            write(path, 1)
+        assert len(written) == 1 and path.read_bytes() == before
+        assert [p.name for p in path.parent.iterdir()] == ["file.csv"]
+
+    @pytest.mark.parametrize("row, message", [
+        ("0,1,1,3,inf", "needs a finite fraction"),
+        ("0,1,1,3,nan", "needs a finite fraction"),
+        ("0,1,1,,0.5", "needs a count from 0 to 2**63 - 1, as the file's rows carry counts"),
+        ("0,1,1,-4,0.5", "needs a count from 0 to 2**63 - 1, as the file's rows carry counts"),
+        (f"0,1,1,{2**63},0.5", "needs a count from 0 to 2**63 - 1, as the file's rows carry counts"),
+    ], ids=["fraction-inf", "fraction-nan", "count-missing", "count-negative", "count-beyond-int64"])
+    def test_refuses_a_cell_compare_would_misread(self, tmp_path, row, message):
+        path = tmp_path / "t.csv"
+        path.write_text(f"{_HEAD}0,1,2,1,0.25\n{row}\n1,1,1,3,0.5\n1,1,2,1,0.25\n")
+        with pytest.raises(ValueError) as info:
+            read_trajectory(path)
+        assert str(info.value) == f"{path}: row {row.split(',')} {message}"
+
+    def test_an_island_beyond_the_rows_is_a_missing_cell(self, tmp_path):
+        # refused before any array is sized by the index
+        path = tmp_path / "t.csv"
+        path.write_text(f"{_HEAD}0,{2**70},1,,0.5\n")
+        with pytest.raises(ValueError) as info:
+            read_trajectory(path)
+        assert str(info.value) == f"{path}: sparse rows; every (time, island, strain) cell is required"
+
+    def test_fractions_just_outside_the_unit_interval_read_back(self, tmp_path):
+        # the integrator's simplex guard lets states sit a little below 0 or above 1
+        path = tmp_path / "t.csv"
+        path.write_text(f"{_HEAD}0,1,1,,-1e-12\n0,1,2,,1.000000000001\n")
+        assert read_trajectory(path).fractions.tolist() == [[[-1e-12, 1.000000000001]]]
+
+    def test_crlf_line_ends_read_back(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes((_HEAD + "0,1,1,,0.5\n1,1,1,,0.25\n").replace("\n", "\r\n").encode())
+        back = read_trajectory(path)
+        assert back.metadata == {"kind": "meanfield"}
+        assert back.times.tolist() == [0.0, 1.0] and back.fractions.ravel().tolist() == [0.5, 0.25]
+
+    @given(_trajectories())
+    @example(("ode", [-0.0, 5e-324], np.array(
+        [-0.0, 0.0, 5e-324, 2.2250738585072009e-308, 1e-310, 1.0, 1 - 2**-53, 1 + 2**-52]).reshape(2, 2, 2), None))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_write_then_read_is_exact(self, tmp_path_factory, case):
+        kind, times, values, sizes = case
+        path = tmp_path_factory.mktemp("roundtrip") / "t.csv"
+        times = np.asarray(times, dtype=float)
+        if kind == "ode":
+            traj = OdeTrajectory(times, values, StepControl(), 0, 0)
+            write_ode_trajectory(path, traj, extra_meta={"params_hash": "h: 1"})
+            meta = {"kind": "meanfield", **{f"integrator_{k}": str(v)
+                                            for k, v in traj.integrator_metadata().items()}}
+            fractions, counts = values, None
+        else:
+            traj = MicroTrajectory(times, values, sizes, seed=3, rep=1, event_totals={("infect", 1, 1): 2})
+            write_micro_trajectory(path, traj, extra_meta={"params_hash": "h: 1"})
+            meta = {"kind": "micro", "simulator": "count-level", "seed": "3", "rep": "1",
+                    "rng": RNG_ALGORITHM, "n_events": "2", "sizes": " ".join(map(str, sizes))}
+            fractions, counts = traj.fractions(), values
+        back = read_trajectory(path)
+        assert back.metadata == {**meta, "params_hash": "h: 1"}
+        assert back.times.view(np.uint64).tolist() == times.view(np.uint64).tolist()
+        assert back.fractions.shape == fractions.shape
+        assert back.fractions.view(np.uint64).tolist() == fractions.view(np.uint64).tolist()
+        if counts is None:
+            assert back.counts is None
+        else:
+            assert back.counts.dtype == np.int64 and back.counts.tolist() == counts.tolist()
+
+    def test_writing_streams_one_sample_time_at_a_time(self, tmp_path):
+        # 101 x 1000 x 2, the shape of the meanfield-cycle1000 benchmark: about 8.4 MB on disk
+        states = np.random.default_rng(0).random((101, 1000, 2))
+        traj = OdeTrajectory(np.linspace(0.0, 20.0, 101), states, StepControl(), 0, 0)
+        path = tmp_path / "big.csv"
+        tracemalloc.start()
+        try:
+            write_ode_trajectory(path, traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 4, (peak, path.stat().st_size)
 
 
 class TestPlotData:
