@@ -11,22 +11,24 @@ Counts are integers for micro trajectories and empty for ODE rows.  Floats
 are written with 17 significant digits so doubles round-trip losslessly.
 Rows are emitted densely: for every time, every (island, strain) pair in
 order.  Timestamps never appear in trajectory files; they live only in the
-run manifest.  A trajectory is streamed into a temporary file beside its
-target one sample time at a time, so a write holds one time's rows in memory,
-and the file is then renamed over the target (`_write_atomic`): a failed write
-leaves the previous file and no temporary file.  `read_trajectory` parses the
-body in bulk, one split for the whole body and one conversion per column.
+run manifest.  One generator, `_rows`, formats every row of the long format,
+trajectories and plot data (`emit_plot_data`'s time,series,value rows) alike.
+A file is streamed into a temporary file beside its target one sample time at
+a time, so a write holds one time's rows in memory, and the file is then
+renamed over the target (`_write_atomic`): a failed write leaves the previous
+file and no temporary file.  `emit_plot_data` refuses two `series` inputs with
+one file stem, and an `overlay` input that is neither micro nor meanfield.
+`read_trajectory` parses the body in bulk, one split for the whole body and
+one conversion per column.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +39,6 @@ from ..micro import RNG_ALGORITHM, MicroTrajectory
 FORMAT_TAG = "islandsis-trajectory v1"
 HEADER = ("time", "island", "strain", "count", "fraction")
 _INT64_MAX = np.iinfo(np.int64).max
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
 
 
 @dataclass
@@ -57,18 +55,22 @@ class TrajectoryData:
         return self.metadata.get("kind", "unknown")
 
 
+def _rows(times, middles: list[str], values, counts=None) -> Iterator[str]:
+    """Yield one chunk of rows per sample time: the time, each cell's middle (its fields
+    up to the value, commas included) and count if any, then its value.  The only row writer."""
+    for ti, t in enumerate(times.tolist()):
+        t = format(t, ".17g")
+        cells = middles if counts is None else map("{}{},".format, middles, counts[ti].ravel().tolist())
+        yield "".join([f"{t}{cell}{x:.17g}\n" for cell, x in zip(cells, values[ti].ravel().tolist())])
+
+
 def _render(times, fractions, counts, metadata: dict) -> Iterator[str]:
     """Yield the file: its head, then one chunk of M*K rows per sample time."""
     yield "".join([f"# {FORMAT_TAG}\n", *(f"# {key}: {value}\n" for key, value in metadata.items()),
                    ",".join(HEADER) + "\n"])
-    n_t, m, kk = fractions.shape
-    middles = [f",{i},{k}," for i in range(1, m + 1) for k in range(1, kk + 1)]
-    no_counts = [""] * (m * kk)
-    for ti in range(n_t):
-        t = _fmt(times[ti])
-        row_counts = no_counts if counts is None else counts[ti].ravel().tolist()
-        yield "".join([f"{t}{middle}{count},{x:.17g}\n"
-                       for middle, count, x in zip(middles, row_counts, fractions[ti].ravel().tolist())])
+    no_count = "," if counts is None else ""
+    yield from _rows(times, [f",{i + 1},{k + 1},{no_count}" for i, k in np.ndindex(fractions.shape[1:])],
+                     fractions, counts)
 
 
 def _write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
@@ -241,58 +243,54 @@ PLOT_HEADER = ("time", "series", "value")
 PLOT_MODES = ("series", "overlay")
 
 
-def emit_plot_data(
-    inputs: list[str | Path], mode: str, out_path: str | Path
-) -> int:
+def _csv_field(text: str) -> str:
+    """`text` quoted as csv.writer quotes a field on Python 3.11 with "\\n" line ends."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\n') else text
+
+
+def emit_plot_data(inputs: list[str | Path], mode: str, out_path: str | Path) -> int:
     """Merge trajectory files into a long-format (time, series, value) CSV.
 
-    mode "series": one series per input file per (island, strain).
+    mode "series": one series per input file per (island, strain), labelled by
+    the file's stem; a repeated stem is refused.
     mode "overlay": micro inputs are aggregated into mean and standard-error
     series per (island, strain); at most one ODE input adds an "ode" series.
-    All inputs must share one time grid.  Returns the number of data rows.
+    An input of any other kind is refused.
+    All inputs must share one time grid.  Rows stream through `_rows`, one
+    sample time at a time.  Returns the number of data rows.
     """
     if mode not in PLOT_MODES:
         raise ValueError(f"unknown plotdata mode {mode!r}")
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(PLOT_HEADER)
-    n_rows = 0
-    if inputs:
-        data = [read_trajectory(p) for p in inputs]
-        base_times = data[0].times
-        for d in data[1:]:
-            if not np.array_equal(d.times, base_times):
-                raise ValueError("plotdata inputs disagree on the time grid")
-        _, m, kk = data[0].fractions.shape
-        if any(d.fractions.shape[1:] != (m, kk) for d in data):
-            raise ValueError("plotdata inputs disagree on islands/strains")
-
-        def emit(label: str, values: np.ndarray) -> None:
-            nonlocal n_rows
-            for ti, t in enumerate(base_times):
-                for i in range(m):
-                    for k in range(kk):
-                        writer.writerow(
-                            [_fmt(t), f"{label}:island{i + 1}:strain{k + 1}", _fmt(values[ti, i, k])]
-                        )
-                        n_rows += 1
-
-        if mode == "series":
-            for p, d in zip(inputs, data):
-                emit(Path(p).stem, d.fractions)
-        else:
-            micro = [d for d in data if d.kind == "micro"]
-            odes = [d for d in data if d.kind == "meanfield"]
-            if len(odes) > 1:
-                raise ValueError("overlay mode accepts at most one ODE input")
-            if micro:
-                stack = np.stack([d.fractions for d in micro])
-                emit("mean", stack.mean(axis=0))
-                if len(micro) > 1:
-                    emit("stderr", stack.std(axis=0, ddof=1) / np.sqrt(len(micro)))
-                else:
-                    emit("stderr", np.zeros_like(stack[0]))
-            if odes:
-                emit("ode", odes[0].fractions)
-    _write_atomic(out_path, (out.getvalue(),))
-    return n_rows
+    data = [read_trajectory(p) for p in inputs]
+    for d in data[1:]:
+        if not np.array_equal(d.times, data[0].times):
+            raise ValueError("plotdata inputs disagree on the time grid")
+    if any(d.fractions.shape[1:] != data[0].fractions.shape[1:] for d in data):
+        raise ValueError("plotdata inputs disagree on islands/strains")
+    if mode == "series":
+        stems = [Path(p).stem for p in inputs]
+        for stem in stems:
+            if stems.count(stem) > 1:
+                raise ValueError(f"plotdata inputs repeat the file stem {stem!r}, "
+                                 "so their series would share labels")
+        series = [(stem, d.fractions) for stem, d in zip(stems, data)]
+    else:
+        for p, d in zip(inputs, data):
+            if d.kind not in ("micro", "meanfield"):
+                raise ValueError(f"{p}: overlay mode needs a micro or meanfield trajectory, "
+                                 f"not kind {d.kind!r}")
+        micro = [d.fractions for d in data if d.kind == "micro"]
+        odes = [("ode", d.fractions) for d in data if d.kind == "meanfield"]
+        if len(odes) > 1:
+            raise ValueError("overlay mode accepts at most one ODE input")
+        series = odes
+        if micro:
+            stack = np.stack(micro)
+            spread = (stack.std(axis=0, ddof=1) / np.sqrt(len(micro)) if len(micro) > 1
+                      else np.zeros_like(stack[0]))
+            series = [("mean", stack.mean(axis=0)), ("stderr", spread), *odes]
+    labelled = (_rows(data[0].times, [f",{_csv_field(f'{label}:island{i + 1}:strain{k + 1}')},"
+                                      for i, k in np.ndindex(values.shape[1:])], values)
+                for label, values in series)
+    _write_atomic(out_path, chain([",".join(PLOT_HEADER) + "\n"], chain.from_iterable(labelled)))
+    return sum(values.size for _, values in series)

@@ -395,6 +395,33 @@ def test_plotdata_input_that_is_no_trajectory_exits_2(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith(f"config error: plotdata.inputs: {other}: "), err
 
 
+def test_plotdata_series_with_a_repeated_stem_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    for run in ("a", "b"):
+        assert main(["meanfield", str(cfg), "--out", str(tmp_path / run)]) == 0
+    plot_cfg = write_cfg(tmp_path, name="plot.yaml", plotdata={
+        "inputs": [str(tmp_path / run / "meanfield.csv") for run in ("a", "b")], "mode": "series"})
+    capsys.readouterr()
+    assert main(["plotdata", str(plot_cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: plotdata.inputs: "), err
+    assert "'meanfield'" in err[0], err
+    assert not (tmp_path / "out" / "plotdata.csv").exists()
+
+
+def test_plotdata_overlay_input_of_unknown_kind_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    assert main(["meanfield", str(cfg), "--out", str(tmp_path / "mf")]) == 0
+    lines = (tmp_path / "mf" / "meanfield.csv").read_text().splitlines(keepends=True)
+    kindless = tmp_path / "kindless.csv"
+    kindless.write_text("".join(line for line in lines if not line.startswith("# kind: ")))
+    plot_cfg = write_cfg(tmp_path, name="plot.yaml", plotdata={"inputs": [str(kindless)], "mode": "overlay"})
+    capsys.readouterr()
+    assert main(["plotdata", str(plot_cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: plotdata.inputs: {kindless}: "), err
+
+
 def _drop_files(run):
     manifest = json.loads((run / "manifest.json").read_text())
     del manifest["files"]

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -382,11 +384,93 @@ class TestTrajIO:
         assert peak < path.stat().st_size / 4, (peak, path.stat().st_size)
 
 
+# sha256 of plotdata outputs of `_pin_inputs`' files (two islands, two strains), pinned
+# before plot rows were rendered through the trajectory writer's per-time chunks
+PINNED_PLOT_SHA256 = {
+    "series": "486f2f2488a6fc420d657c732e543cf0796eef9257ac0d6eebb86ba7b94c7fb9",
+    "overlay": "9381953dd4c38e278bfd5dfcaa9787fdefdc299f6cb9877af51c86a4c3ab2478",
+    "overlay-one-micro": "67e9d0660c2f5b52c2271ff10976141b5659708141f904682e2855fcf9405175",
+    "series-quoted-stem": "9c760bae3bc9229024e0bd6c810e4644f77e526f72a295888d3cd50dfe982f9e",
+}
+
+
 class TestPlotData:
     def _write_ode(self, path, y0=((0.3,), (0.7,))):
         params = MeanFieldParams.symmetric(bipartite_supernetwork(1, 1), 2.0)
         traj = integrate(params, np.asarray(y0), 2.0, t_eval=np.linspace(0, 2, 5))
         write_ode_trajectory(path, traj)
+
+    def _pin_inputs(self, tmp_path):
+        """Three micro replications and one ODE trajectory on one grid."""
+        net = bipartite_supernetwork(20, 20)
+        params = StrainParams.uniform(net, [2.0, 1.5])
+        grid = np.linspace(0, 2, 5)
+        micro = []
+        for rep in range(3):
+            micro.append(tmp_path / f"m{rep}.csv")
+            write_micro_trajectory(
+                micro[-1], simulate(MacroCounts(((3, 2), (2, 3)), (20, 20)), net, params, 2.0, 7, grid, rep))
+        ode = tmp_path / "ode.csv"
+        mf = MeanFieldParams.symmetric(bipartite_supernetwork(1, 1), [2.0, 1.5])
+        write_ode_trajectory(ode, integrate(mf, np.array([[0.15, 0.1], [0.1, 0.15]]), 2.0, t_eval=grid))
+        return micro, ode
+
+    @pytest.mark.parametrize("case", list(PINNED_PLOT_SHA256))
+    def test_output_bytes_are_pinned(self, tmp_path, case):
+        micro, ode = self._pin_inputs(tmp_path)
+        quoted = tmp_path / 'a,b"c\nd.csv'  # a stem csv quotes: a comma, a quote and a newline
+        quoted.write_bytes(ode.read_bytes())
+        inputs, mode, rows = {
+            "series": (micro + [ode], "series", 4 * 5 * 2 * 2),
+            "overlay": (micro + [ode], "overlay", 3 * 5 * 2 * 2),
+            "overlay-one-micro": (micro[:1], "overlay", 2 * 5 * 2 * 2),
+            "series-quoted-stem": ([micro[0], quoted], "series", 2 * 5 * 2 * 2),
+        }[case]
+        out = tmp_path / "plot.csv"
+        assert emit_plot_data(inputs, mode, out) == rows
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_PLOT_SHA256[case]
+
+    def test_rendering_streams_one_sample_time_at_a_time(self, tmp_path, monkeypatch):
+        # 101 x 1000 x 2, the shape of the meanfield-cycle1000 benchmark; the input is read
+        # beforehand so that the peak is the render's alone
+        states = np.random.default_rng(0).random((101, 1000, 2))
+        src = tmp_path / "big.csv"
+        write_ode_trajectory(src, OdeTrajectory(np.linspace(0.0, 20.0, 101), states, StepControl(), 0, 0))
+        data = read_trajectory(src)
+        monkeypatch.setattr(trajio, "read_trajectory", lambda path: data)
+        out = tmp_path / "plot.csv"
+        tracemalloc.start()
+        try:
+            rows = emit_plot_data([src], "series", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == states.size
+        assert peak < out.stat().st_size / 4, (peak, out.stat().st_size)
+
+    def test_series_refuses_a_repeated_file_stem(self, tmp_path):
+        # every simulate run names its files traj_rep0000.csv, ...: two runs' rep 0 share a stem
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        a, b = tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv"
+        self._write_ode(a)
+        self._write_ode(b, y0=((0.2,), (0.6,)))
+        out = tmp_path / "plot.csv"
+        with pytest.raises(ValueError, match="'x'"):
+            emit_plot_data([a, b], "series", out)
+        assert not out.exists()
+
+    def test_overlay_refuses_an_input_of_unknown_kind(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        self._write_ode(a)
+        b.write_text("".join(line for line in a.read_text().splitlines(keepends=True)
+                             if line != "# kind: meanfield\n"))
+        assert read_trajectory(b).kind == "unknown"
+        out = tmp_path / "plot.csv"
+        for inputs in ([b], [a, b]):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(b))}: "):
+                emit_plot_data(inputs, "overlay", out)
+        assert not out.exists()
 
     def test_empty_inputs_header_only(self, tmp_path):
         out = tmp_path / "plot.csv"
