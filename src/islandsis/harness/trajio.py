@@ -244,8 +244,8 @@ PLOT_MODES = ("series", "overlay")
 
 
 def _csv_field(text: str) -> str:
-    """`text` quoted as csv.writer quotes a field on Python 3.11 with "\\n" line ends."""
-    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\n') else text
+    """`text` quoted as csv.writer quotes a field with "\\r\\n" line ends, so csv.reader reads it back."""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
 
 
 def emit_plot_data(inputs: list[str | Path], mode: str, out_path: str | Path) -> int:

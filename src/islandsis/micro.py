@@ -32,7 +32,9 @@ strain, and the strain-k infection of every island i feeds.  Its cost per
 event is then a few rate evaluations plus one C-level pass over the partial
 sums, not a rebuild of the whole table.  `node_level_simulate` steps node
 states, draws the target of each infection attempt and lists its moves
-again after each effective event.
+again after each effective event.  Set-up that depends on the rates alone
+is cached on `StrainParams`.  Each thread keeps one Philox generator that a
+call re-keys to (seed, rep): it draws exactly `replication_rng(seed, rep)`'s stream.
 
 Rates are stored as one row per strain over the directed island edges
 `SuperNetwork.in_edges`, the layout `meanfield` uses for its effective rates.
@@ -43,7 +45,9 @@ by :func:`edge_rows`.
 from __future__ import annotations
 
 import math
+import operator
 import sys
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -100,6 +104,32 @@ class StrainParams:
         bound = sum(max(rates) * n[j - 1] * n[i - 1]
                     for rates, (j, i) in zip(zip(*self.gamma), self.net.in_edge_pairs))
         return not bound + max(self.mu) * sum(n) <= sys.float_info.max
+
+    # The simulators' set-up, built on first use; callers check validate_for(net) first.
+    @cached_property
+    def _float_rates(self) -> tuple[list, list[float]]:
+        """`_in_edge_groups` of the rates as floats, and mu as floats."""
+        return (_in_edge_groups(self.net, [[float(g) for g in row] for row in self.gamma]),
+                [float(m) for m in self.mu])
+
+    @cached_property
+    def _touched(self) -> list[list[int]]:
+        """Per (island i, strain k), ascending: the slots an event there changes (its healing,
+        island i's infections by every strain, the strain-k infection of each island i feeds)."""
+        kk = self.num_strains
+        return [sorted([2 * (i * kk + k) + 1, *(2 * (i * kk + h) for h in range(kk)),
+                        *(2 * ((v - 1) * kk + k) for v in self.net.neighbors[i])])
+                for i in range(self.net.num_islands) for k in range(kk)]
+
+    @cached_property
+    def _attempt(self) -> dict[tuple[int, int], list[tuple[int, float]]]:
+        """Per (strain k, source island u): (target, float rate) of each attempt, by target."""
+        attempt = {(k, u): [] for k in range(1, self.num_strains + 1)
+                   for u in range(1, self.net.num_islands + 1)}
+        for k, rates in enumerate(self.gamma, start=1):
+            for (u, v), g in zip(self.net.in_edge_pairs, rates):  # in_edges ascend by target
+                attempt[(k, u)].append((v, float(g)))
+        return attempt
 
     @classmethod
     def uniform(
@@ -281,6 +311,13 @@ def event_rates(counts: MacroCounts, net: SuperNetwork, params: StrainParams) ->
 
 
 SEED_LIMIT = 2**64  # master seeds and replication indices lie in [0, SEED_LIMIT)
+_per_thread = threading.local()  # .rng: the generator the thread's simulator calls re-key
+
+
+def _philox_key(master_seed: int, rep: int) -> int:
+    if not (0 <= master_seed < SEED_LIMIT and 0 <= rep < SEED_LIMIT):
+        raise ValueError("seed and replication index must lie in [0, 2**64)")
+    return master_seed | (rep << 64)
 
 
 def replication_rng(master_seed: int, rep: int = 0) -> np.random.Generator:
@@ -288,12 +325,23 @@ def replication_rng(master_seed: int, rep: int = 0) -> np.random.Generator:
 
     Philox keys are 128-bit: the low word carries the master seed, the high
     word the replication index, so replications are independent streams and
-    reproducible in any execution order.
+    reproducible in any execution order.  The simulators draw exactly this
+    stream from their thread's generator, re-keyed to the same key per call.
     """
-    if not (0 <= master_seed < SEED_LIMIT and 0 <= rep < SEED_LIMIT):
-        raise ValueError("seed and replication index must lie in [0, 2**64)")
-    key = master_seed | (rep << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_philox_key(master_seed, rep)))
+
+
+def _rekeyed_rng(master_seed: int, rep: int) -> np.random.Generator:
+    """This thread's generator, at the start of `replication_rng(master_seed, rep)`'s stream:
+    counter 0, the same key, an empty buffer and no cached 32-bit half, as a new Philox."""
+    key = _philox_key(master_seed, rep)
+    rng = getattr(_per_thread, "rng", None)
+    if rng is None:
+        rng = _per_thread.rng = replication_rng(0)
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0,
+        "uinteger": 0, "state": {"counter": [0, 0, 0, 0], "key": [key % SEED_LIMIT, key >> 64]}}
+    return rng
 
 
 @dataclass
@@ -322,10 +370,11 @@ def _prepare_grid(sample_grid, t_end: float) -> np.ndarray:
     grid = np.asarray(sample_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("sample grid must be a non-empty 1-d sequence of times")
+    times = grid.tolist()
     # Written so that a NaN time fails each comparison.
-    if not grid[0] >= 0 or not np.all(np.diff(grid) > 0):
+    if not times[0] >= 0 or not all(map(operator.lt, times, times[1:])):
         raise ValueError("sample grid times must be strictly increasing and >= 0")
-    if not grid[-1] <= t_end:
+    if not times[-1] <= t_end:
         raise ValueError("sample grid extends beyond t_end")
     return grid
 
@@ -342,9 +391,9 @@ def _gillespie(net, params, t_end: float, sample_grid, rng, state, rates, fire):
     left to right, so a zero rate is never picked; after a move only those
     from the first changed index on are added again.  A grid time takes the
     (M, K) `state` current just before any event at that instant; the loop
-    ends once the next event falls past t_end.
+    ends once the next event falls past t_end.  The caller checks
+    `params.validate_for(net)`.
     """
-    params.validate_for(net)
     if params.overflows:
         raise ValueError("event rates can overflow the float range")
     grid = _prepare_grid(sample_grid, t_end)
@@ -399,17 +448,13 @@ def simulate(
         rep: replication index mixed into the RNG key.
     """
     _check_counts(counts0, net, params)
+    params.validate_for(net)
     kk = params.num_strains
-    mu = [float(m) for m in params.mu]
-    groups = _in_edge_groups(net, [[float(g) for g in row] for row in params.gamma])
+    groups, mu = params._float_rates
+    touched = params._touched
     y = [list(row) for row in counts0.y]  # stepped in place; an event fires only if it fits
     slots = [_slot_rate(y, net.sizes, groups, mu, s) for s in range(2 * net.num_islands * kk)]
     fired = [0] * len(slots)
-    # Per (island i, strain k), ascending: the slots an event there changes, i.e. its healing,
-    # island i's infections by every strain, and the strain-k infection of every island i feeds.
-    touched = [sorted([2 * (i * kk + k) + 1, *(2 * (i * kk + h) for h in range(kk)),
-                       *(2 * ((v - 1) * kk + k) for v in net.neighbors[i])])
-               for i in range(net.num_islands) for k in range(kk)]
 
     def fire(s):
         i, k = divmod(s >> 1, kk)
@@ -419,7 +464,7 @@ def simulate(
             slots[d] = _slot_rate(y, net.sizes, groups, mu, d)
         return touched[s >> 1][0]
 
-    grid, sampled = _gillespie(net, params, t_end, sample_grid, replication_rng(seed, rep),
+    grid, sampled = _gillespie(net, params, t_end, sample_grid, _rekeyed_rng(seed, rep),
                                y, slots, fire)
     return MicroTrajectory(grid, sampled, net.sizes, seed, rep,
                            {_slot_key(s, kk): n for s, n in enumerate(fired) if n})
@@ -449,17 +494,11 @@ def node_level_simulate(
     if len(states) != m or any(len(row) != n for row, n in zip(states, net.sizes)):
         raise ValueError("initial node states do not match island sizes")
 
+    params.validate_for(net)
     counts = [[row.count(k) for k in range(1, kk + 1)] for row in states]
-
     # Per infected node: healing plus one attempt clock per neighbor island.
-    # Targets ascend per source, since in_edges groups edges by ascending target.
-    attempt = {(k, u): [] for k in range(1, kk + 1) for u in range(1, m + 1)}
-    for k, rates in enumerate(params.gamma, start=1):
-        for (u, v), g in zip(net.in_edge_pairs, rates):
-            attempt[(k, u)].append((v, float(g)))
-    mu = [float(r) for r in params.mu]
-
-    rng = replication_rng(seed, rep)
+    attempt, mu = params._attempt, params._float_rates[1]
+    rng = _rekeyed_rng(seed, rep)
     totals: dict[tuple[str, int, int], int] = {}
     choices, rates = [], []  # (island0, node, strain, target island or 0 for heal), and its rate
 

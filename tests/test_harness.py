@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import re
@@ -429,6 +430,16 @@ class TestPlotData:
         out = tmp_path / "plot.csv"
         assert emit_plot_data(inputs, mode, out) == rows
         assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_PLOT_SHA256[case]
+
+    def test_a_stem_with_a_carriage_return_reads_back_one_row_per_value(self, tmp_path):
+        src = tmp_path / "a\rb.csv"
+        self._write_ode(src)
+        out = tmp_path / "plot.csv"
+        rows = emit_plot_data([src], "series", out)
+        with open(out, newline="") as handle:
+            read = list(csv.reader(handle))
+        assert read[0] == ["time", "series", "value"] and len(read) == rows + 1 == 11
+        assert {row[1] for row in read[1:]} == {"a\rb:island1:strain1", "a\rb:island2:strain1"}
 
     def test_rendering_streams_one_sample_time_at_a_time(self, tmp_path, monkeypatch):
         # 101 x 1000 x 2, the shape of the meanfield-cycle1000 benchmark; the input is read

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from islandsis import micro
+from islandsis.harness.config import ConfigError, ExperimentConfig
 from islandsis.meanfield import MeanFieldParams, integrate
 from islandsis.micro import (
     HEAL,
@@ -193,6 +196,44 @@ class TestSimulate:
                     assert moved == infections - heals
             assert traj.counts.min() >= 0
             assert np.all(traj.counts.sum(axis=2) <= np.asarray(net.sizes))
+
+
+_INCREASING = "sample grid times must be strictly increasing and >= 0"
+_BEYOND = "sample grid extends beyond t_end"
+_SHAPE = "sample grid must be a non-empty 1-d sequence of times"
+_NOT_FINITE = "expected a finite number"
+
+
+@pytest.mark.parametrize("grid, message, config_message", [
+    ([0.0, math.nan, 1.0], _INCREASING, _NOT_FINITE),
+    ([0.0, 0.5, 0.5], _INCREASING, _INCREASING),
+    ([0.0, 0.7, 0.4], _INCREASING, _INCREASING),
+    ([-1.0, 0.5], _INCREASING, _INCREASING),
+    ([0.0, math.inf], _BEYOND, _NOT_FINITE),
+    ([0.0, 0.5, 1.5], _BEYOND, _BEYOND),
+    ([], _SHAPE, _SHAPE),
+    ([[0.0, 0.5]], _SHAPE, _NOT_FINITE),
+], ids=["nan", "repeated", "decreasing", "negative", "inf", "past-t-end", "empty", "2-d"])
+def test_one_grid_rule_refuses_with_its_message(grid, message, config_message):
+    # simulate, integrate and the config reader share micro._prepare_grid; the config's
+    # number reader refuses a non-finite or nested time first, naming its entry
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        simulate(MacroCounts(((1,), (0,)), (3, 3)), BIP33, unit_rates(), 1.0, 0, grid)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        integrate(MeanFieldParams.symmetric(BIP33, 2.0), np.full((2, 1), 0.1), 1.0, t_eval=grid)
+    cfg = ExperimentConfig.from_dict({"t_end": 1.0, "grid": grid})
+    with pytest.raises(ConfigError, match=f"^grid(\\[\\d\\])?: {config_message}") as refused:
+        cfg.grid_times()
+    assert refused.value.field.startswith("grid")
+
+
+def test_one_grid_rule_accepts_negative_zero():
+    grid = [-0.0, 1.0]
+    traj = simulate(MacroCounts(((1,), (0,)), (3, 3)), BIP33, unit_rates(), 1.0, 0, grid)
+    assert traj.times.tolist() == grid
+    ode = integrate(MeanFieldParams.symmetric(BIP33, 2.0), np.full((2, 1), 0.1), 1.0, t_eval=grid)
+    assert ode.times.tolist() == grid
+    assert ExperimentConfig.from_dict({"t_end": 1.0, "grid": grid}).grid_times().tolist() == grid
 
 
 def _watch_events(monkeypatch, watch):
@@ -387,6 +428,85 @@ def test_replication_rng_streams_are_stable():
     for seed, rep in ((-1, 0), (5, -1), (2**64 + 5, 0), (2**64, 0), (0, 2**64)):
         with pytest.raises(ValueError, match=r"2\*\*64"):
             replication_rng(seed, rep)
+
+
+def _state_equal(a, b):
+    """Whether two bit-generator state dicts hold the same values, arrays compared by value."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(_state_equal(a[k], b[k]) for k in a)
+    return np.array_equal(a, b)
+
+
+_KEYS = [(0, 0), (11, 5), (2**64 - 1, 2**64 - 1)] + [
+    tuple(int(w) for w in pair)
+    for pair in np.random.default_rng(2027).integers(0, 2**64, size=(5, 2), dtype=np.uint64)]
+
+
+@pytest.mark.parametrize("seed, rep", _KEYS)
+def test_a_rekeyed_generator_starts_replication_rngs_stream(seed, rep):
+    # The simulators re-key one generator per thread; numpy owns the state layout, so a
+    # change to it fails here instead of changing every stream
+    fresh = np.random.Philox(key=seed | rep << 64).state
+    rng = micro._rekeyed_rng(7, 3)
+    rng.integers(5)  # a small draw leaves a half-used buffer and a cached 32-bit half
+    assert rng.bit_generator.state["buffer_pos"] < 4 and rng.bit_generator.state["has_uint32"]
+    for _ in range(2):
+        rng = micro._rekeyed_rng(seed, rep)
+        assert _state_equal(rng.bit_generator.state, fresh)
+        ref = replication_rng(seed, rep)
+        for draw in (lambda g: g.random(5), lambda g: g.exponential(0.3, 5),
+                     lambda g: g.integers(7, size=9), lambda g: g.integers(2**40, size=3),
+                     lambda g: g.random(3)):
+            assert np.array_equal(draw(rng), draw(ref))
+
+
+@pytest.mark.parametrize("seed, rep", [(-1, 0), (5, -1), (2**64 + 5, 0), (2**64, 0), (0, 2**64)])
+def test_rekeying_refuses_an_out_of_range_key(seed, rep):
+    with pytest.raises(ValueError, match=r"^seed and replication index must lie in \[0, 2\*\*64\)$"):
+        micro._rekeyed_rng(seed, rep)
+
+
+def test_threads_sharing_params_draw_their_own_streams():
+    # Two threads at once on disjoint reps and one params whose set-up neither has built yet;
+    # each simulator call re-keys its own thread's generator, so both match a serial run
+    net = build_supernetwork([3, 4, 2], [(1, 2), (2, 3)])
+    initial = [[1, 0, 0], [0, 2, 0, 0], [0, 0]]
+    counts0 = MacroCounts(((1, 0), (0, 1), (0, 0)), net.sizes)
+    grid = np.linspace(0.0, 3.0, 7)
+
+    def run(params, reps):
+        return [(simulate(counts0, net, params, 3.0, 5, grid, rep=rep),
+                 node_level_simulate(net, params, initial, 3.0, 6, grid, rep=rep)) for rep in reps]
+
+    def rates():
+        return StrainParams.uniform(net, (1.7, 1.2), (1.0, 0.8))
+
+    halves = (range(0, 150), range(150, 300))
+    serial = [run(rates(), reps) for reps in halves]
+    shared, start = rates(), threading.Barrier(2, timeout=60)
+    threaded = [None, None]
+
+    def work(half):
+        start.wait()
+        threaded[half] = run(shared, halves[half])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(half,)) for half in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for ours, theirs in zip(threaded, serial):
+        assert len(ours) == len(theirs) == 150
+        for pair, reference in zip(ours, theirs):
+            for traj, ref in zip(pair, reference):
+                assert np.array_equal(traj.counts, ref.counts)
+                assert traj.event_totals == ref.event_totals
 
 
 def test_params_refuse_another_network_of_the_same_shape():
