@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .meanfield import MeanFieldParams, StepControl, integrate, validate_state
+from .meanfield import MeanFieldParams, integrate, validate_state
 from .micro import _is_count
 from .topology import SuperNetwork, is_regular, superdegree
 
@@ -157,7 +157,6 @@ def check_dominance(
     t_end: float,
     grid: int | Sequence[float] = 201,
     tol: float = 1e-9,
-    control: StepControl | None = None,
 ) -> DominanceViolation | None:
     """Integrate ordered initial states together; the earliest ordering violation, or None.
 
@@ -186,7 +185,7 @@ def check_dominance(
         if not _is_count(grid) or grid < 2:  # a bool, or no sample time past t = 0
             raise ValueError(f"grid must count at least 2 sample times, got {grid!r}")
         grid = np.linspace(0.0, t_end, grid)
-    traj = integrate(params, np.stack([lo, hi], axis=-3), t_end, control=control, t_eval=grid)
+    traj = integrate(params, np.stack([lo, hi], axis=-3), t_end, t_eval=grid)
     states = traj.states
     return first_grid_violation(traj.times, states[..., 0, :, :], states[..., 1, :, :], signs, tol)
 
@@ -276,8 +275,11 @@ class LocalSign(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-def sign_probe(coeffs: Sequence[float], threshold: float = 1e-12) -> LocalSign:
-    """Sign of the first coefficient exceeding threshold in magnitude.
+SIGN_THRESHOLD = 1e-12  # magnitude a coefficient must exceed to count as nonzero
+
+
+def sign_probe(coeffs: Sequence[float]) -> LocalSign:
+    """Sign of the first coefficient exceeding SIGN_THRESHOLD in magnitude.
 
     An analytic function whose derivatives at T vanish through order k-1
     while the kth is positive is positive on (T, T+eps); the probe reads that
@@ -288,7 +290,7 @@ def sign_probe(coeffs: Sequence[float], threshold: float = 1e-12) -> LocalSign:
     if not coeffs:
         raise ValueError("need at least one coefficient")
     for cval in coeffs:
-        if abs(cval) > threshold:
+        if abs(cval) > SIGN_THRESHOLD:
             return LocalSign.LOCALLY_POSITIVE if cval > 0 else LocalSign.LOCALLY_NEGATIVE
     if all(cval == 0.0 for cval in coeffs):
         return LocalSign.ZERO

@@ -75,16 +75,8 @@ from ..topology import (
     cycle_supernetwork,
     star_supernetwork,
 )
+from .suites import SUITE_NAMES
 from .trajio import PLOT_MODES
-
-SUITE_NAMES = (
-    "bipartite-single",
-    "bipartite-bivirus",
-    "regular-single",
-    "regular-multivirus",
-    "taylor",
-    "appendix",
-)
 
 
 class ConfigError(ValueError):

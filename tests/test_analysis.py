@@ -257,6 +257,12 @@ class TestTaylor:
                 errs.append(np.abs(table.polynomial(hh, order=n) - ref).max())
             assert errs[0] / errs[1] >= 2**n / 1.5, n
 
+    @pytest.mark.parametrize("order", [-1, 7])
+    def test_polynomial_refuses_an_order_outside_the_table(self, order):
+        table = taylor_coefficients(self.params, self.y0, 6)
+        with pytest.raises(ValueError, match=r"^order must be within 0\.\.6$"):
+            table.polynomial(0.1, order=order)
+
     def test_equal_within_ball_equal_derivatives(self):
         # two-strain states equal on island 1 and both shells within 2 hops;
         # island 4 (hop 3) differs, so orders through 2 coincide exactly

@@ -317,6 +317,22 @@ def test_config_error_exit_codes(tmp_path, capsys):
                    "grid": [0, 1.0e10]}, "strains.mu"),
     ("meanfield", {"sizes": 10, "strains": [{"gamma": 1.0e300, "mu": 1.0e300}], "t_end": 1.0e10,
                    "grid": 5}, "strains.mu"),
+    ("simulate", {"topology": {"generator": "custom", "edges": [[1, 2]]}, "sizes": 3}, "sizes"),
+    ("simulate", {"sizes": [3, 3, 3]}, "sizes"),
+    ("converge", {"size_schedule": [10, 20]}, "size_schedule"),
+    ("simulate", {"topology": {"generator": "custom", "edges": [[1, 1]]}, "sizes": [3, 3]},
+     "topology"),
+    ("simulate", {"topology": {"generator": "cycle", "islands": 2}}, "topology"),
+    ("simulate", {"strains": [{"gamma": {"1-2": 2.0}}]}, "strains[0].gamma"),
+    ("simulate", {"initial": {"kind": "uniform", "fraction": [0.1, 0.1]}}, "initial.fraction"),
+    ("simulate", {"initial": {"kind": "single_island", "island": 5, "fraction": 0.1}}, "initial"),
+    ("simulate", {"strains": [{"gamma": 2.0}, {"gamma": 1.5}],
+                  "initial": {"kind": "uniform", "fraction": 0.6}}, "initial"),
+    ("simulate", {"t_end": 10**400}, "t_end"),
+    ("plotdata", {"plotdata": {"inputs": "x"}}, "plotdata.inputs"),
+    ("plotdata", {"plotdata": {"inputs": ["no-such-trajectory.csv"]}}, "plotdata.inputs"),
+    ("plotdata", {"plotdata": {"output": "a/b.csv"}}, "plotdata.output"),
+    ("classify", {"sizes": [4, 5]}, "strains"),
 ], ids=["strain-not-mapping-meanfield", "strain-not-mapping-classify", "mu-not-number",
         "fraction-not-number", "edge-not-pair", "compare-not-mapping", "values-not-rows",
         "value-not-number", "grid-entry-list", "grid-entry-string", "suite-not-name",
@@ -325,7 +341,11 @@ def test_config_error_exit_codes(tmp_path, capsys):
         "topology-null", "non-string-key", "grid-collapses", "rates-overflow", "rk4-over-budget",
         "size-beyond-2**53", "schedule-size-beyond-2**53", "event-rates-overflow",
         "unknown-method", "unknown-generator", "generator-list", "generator-null",
-        "horizon-overflows", "horizon-overflows-grid-count"])
+        "horizon-overflows", "horizon-overflows-grid-count", "custom-scalar-sizes",
+        "sizes-count-mismatch", "schedule-too-short", "custom-self-loop", "cycle-of-two",
+        "gamma-key-not-pair", "fraction-count-mismatch", "single-island-out-of-range",
+        "initial-outside-simplex", "t_end-beyond-float", "plot-inputs-not-list",
+        "plot-input-missing", "plot-output-not-file-name", "classify-unequal-sizes"])
 def test_wrong_type_exits_2_naming_the_field(tmp_path, capsys, command, overrides, field):
     cfg = write_cfg(tmp_path, **overrides)
     assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2
@@ -439,6 +459,24 @@ def _append_repeated_cell(run):
         fh.write("1,2,1,30,1\n")
 
 
+def _list_only_meanfield(run):
+    assert main(["meanfield", str(run.parent / "cfg.yaml"), "--out", str(run)]) == 0
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["files"] = ["meanfield.csv"]
+    (run / "manifest.json").write_text(json.dumps(manifest))
+
+
+def _drop_last_sample_of_rep1(run):
+    path = run / "traj_rep0001.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-2]))  # the last time's cells: 2 islands, 1 strain
+
+
+def _end_config_before_last_sample(run):
+    path = run.parent / "cfg.yaml"
+    path.write_text(yaml.safe_dump(dict(yaml.safe_load(path.read_text()), t_end=1.0)))
+
+
 def _edit_last_row(run, field, value):
     path = run / "traj_rep0000.csv"
     lines = path.read_text().splitlines()
@@ -456,8 +494,12 @@ def _edit_last_row(run, field, value):
     (lambda run: _edit_last_row(run, 4, "inf"), {}, "out"),
     (lambda run: _edit_last_row(run, 3, ""), {}, "out"),
     (lambda run: None, {"compare": {"max_deviation": {"a": 1}}}, "compare.max_deviation"),
+    (_list_only_meanfield, {}, "out"),
+    (_drop_last_sample_of_rep1, {}, "out"),
+    (_end_config_before_last_sample, {}, "t_end"),
 ], ids=["manifest-without-files", "csv-deleted", "manifest-not-json", "short-csv-row",
-        "repeated-cell", "fraction-inf", "count-missing", "max-deviation-not-number"])
+        "repeated-cell", "fraction-inf", "count-missing", "max-deviation-not-number",
+        "only-meanfield-listed", "replications-on-other-grids", "t_end-before-last-sample"])
 def test_compare_on_a_bad_run_exits_2_naming_the_field(tmp_path, capsys, damage, overrides, field):
     cfg = write_cfg(tmp_path, **overrides)
     run = tmp_path / "run"

@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 
 from islandsis.harness.config import ConfigError, ExperimentConfig, canonical_hash
 from islandsis.harness.experiments import (
+    mean_vs_ode,
     run_compare,
     run_converge,
     run_meanfield,
     run_simulate,
-    sup_deviation,
 )
 from islandsis.harness import trajio
 from islandsis.harness.suites import disjoint_union, run_theorem_suite
@@ -223,10 +223,13 @@ class TestTrajIO:
          "sparse rows; every (time, island, strain) cell is required"),
         (_HEAD + "0,1,1,,0.5\n0,1,1,,0.5\n",
          "2 rows for 1 cells; each (time, island, strain) cell must appear once"),
+        (_HEAD + "0,2,1,,0.5\n0,2,1,,0.5\n",
+         "sparse rows; every (time, island, strain) cell is required"),
     ], ids=["no-format-tag", "no-header", "no-header-no-body", "no-data-rows", "four-fields", "six-fields",
             "blank-line", "non-numeric", "non-integer-island", "inf-time", "nan-time", "negative-time",
             "island-0", "strain-0", "range-before-malformed", "malformed-before-range",
-            "malformed-before-range-same-columns", "missing-cell", "repeated-cell"])
+            "malformed-before-range-same-columns", "missing-cell", "repeated-cell",
+            "repeat-in-place-of-a-cell"])
     def test_refusal_messages(self, tmp_path, text, message):
         path = tmp_path / "t.csv"
         path.write_text(text)
@@ -483,6 +486,28 @@ class TestPlotData:
                 emit_plot_data(inputs, "overlay", out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("write, message", [
+        (lambda d: emit_plot_data([d / "a.csv", d / "cycle3.csv"], "series", d / "plot.csv"),
+         "plotdata inputs disagree on islands/strains"),
+        (lambda d: emit_plot_data([d / "a.csv"], "stacked", d / "plot.csv"),
+         "unknown plotdata mode 'stacked'"),
+        (lambda d: emit_plot_data([d / "a.csv", d / "b.csv"], "overlay", d / "plot.csv"),
+         "overlay mode accepts at most one ODE input"),
+        (lambda d: write_ode_trajectory(d / "plot.csv", integrate(
+            MeanFieldParams.symmetric(bipartite_supernetwork(1, 1), 2.0), np.full((2, 2, 1), 0.3), 2.0)),
+         "expected an unbatched trajectory with state shape (M, K)"),
+    ], ids=["other-island-count", "unknown-mode", "two-ode-overlay", "batched-ode"])
+    def test_refusals_write_nothing(self, tmp_path, write, message):
+        self._write_ode(tmp_path / "a.csv")
+        self._write_ode(tmp_path / "b.csv", y0=((0.2,), (0.6,)))
+        cycle3 = MeanFieldParams.symmetric(cycle_supernetwork(3, 1), 2.0)
+        write_ode_trajectory(tmp_path / "cycle3.csv",
+                             integrate(cycle3, np.full((3, 1), 0.2), 2.0, t_eval=np.linspace(0, 2, 5)))
+        with pytest.raises(ValueError) as info:
+            write(tmp_path)
+        assert str(info.value) == message
+        assert not (tmp_path / "plot.csv").exists()
+
     def test_empty_inputs_header_only(self, tmp_path):
         out = tmp_path / "plot.csv"
         assert emit_plot_data([], "series", out) == 0
@@ -623,8 +648,8 @@ class TestMeanfieldRun:
 class TestConverge:
     def test_self_comparison_is_zero(self):
         states = np.linspace(0, 1, 24).reshape(4, 3, 2)
-        dev, idx = sup_deviation(states, states)
-        assert dev == 0.0 and len(idx) == 3
+        gap, dev, idx = mean_vs_ode(states[None], states)
+        assert dev == 0.0 and len(idx) == 3 and not gap.any()
 
     def test_small_schedule_report(self, tmp_path):
         cfg = cfg_with(size_schedule=[40, 80, 160], replications=6, t_end=2.0, grid=5)
@@ -737,6 +762,13 @@ def test_disjoint_union_blocks_evolve_as_if_alone():
         row += m
     assert np.all(final[7:] == 0.0)
     assert final[:3].max() > 0.1 and final[3:7].max() > 0.1
+
+
+def test_disjoint_union_refuses_blocks_that_heal_at_different_rates():
+    blocks, _ = _union_of_blocks()
+    slow = MeanFieldParams(blocks[0].net, blocks[0].w, mu=2.0)
+    with pytest.raises(ValueError, match="^blocks with different healing rates have no common time unit$"):
+        disjoint_union([blocks[1], slow])
 
 
 def test_gap_profile_batch_matches_each_start_alone(monkeypatch):

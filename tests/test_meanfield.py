@@ -289,6 +289,19 @@ class TestIntegrate:
             )
 
 
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: MeanFieldParams(BIP, np.ones((1, 3))), ValueError,
+     r"rates must have shape \(num_strains, number of directed edges\)"),
+    (lambda: MeanFieldParams.symmetric(bipartite_supernetwork(3, 4), 2.0).uniform_rate(), ValueError,
+     "configuration is not symmetric; no single rate exists"),
+    (lambda: integrate(MeanFieldParams.symmetric(BIP, 2.0), np.full((2, 1), 0.3), 10.0,
+                       control=StepControl(max_steps=3)), IntegrationError, "step budget 3 exhausted"),
+], ids=["rates-other-edge-count", "uniform-rate-unequal-sizes", "rk45-step-budget"])
+def test_refusals(call, error, message):
+    with pytest.raises(error, match=f"^{message}"):
+        call()
+
+
 @pytest.mark.parametrize("kwargs", [
     {"method": "euler"}, {"rtol": -1.0}, {"rtol": np.nan}, {"atol": 0.0}, {"h_min": np.inf},
     {"fixed_step": -1e-3}, {"max_steps": 0},

@@ -88,7 +88,8 @@ class TestMacroCounts:
         (((1.5,), (0,)), "integers"),
         (((True,), (0,)), "integers"),
         (((1, 0), (0,)), "one count per strain"),
-    ], ids=["fraction", "bool", "ragged"])
+        (((0,), (0,), (0,)), "disagree on the number of islands"),
+    ], ids=["fraction", "bool", "ragged", "extra-island"])
     def test_non_integer_or_ragged_counts_refused(self, y, message):
         with pytest.raises(ValueError, match=message):
             MacroCounts(y, (3, 3))
@@ -537,6 +538,43 @@ def test_params_refuse_a_non_finite_rate():
     # an exact rate beyond the float range is kept, and the simulators refuse it
     assert StrainParams.uniform(BIP33, Fraction(10) ** 400, Fraction(1)).overflows
     assert not unit_rates().overflows
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: StrainParams(BIP33, ((1.0, 1.0),), (1.0, 1.0)), "one rate row per healing rate"),
+    (lambda: StrainParams(BIP33, ((1.0, 1.0, 1.0),), (1.0,)), "one rate per directed island edge"),
+    (lambda: StrainParams.uniform(BIP33, [1.0, 2.0], [1.0, 1.0, 1.0]), "matching strain counts"),
+], ids=["rows-short-of-mus", "row-length", "uniform-strain-counts"])
+def test_params_refuse_rate_rows_of_the_wrong_shape(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_a_pick_rounding_past_the_last_partial_sum_fires_the_last_positive_rate(monkeypatch):
+    # u * total < total for every u <= 1 - 2**-53 unless the total is subnormal: only then
+    # can the pick round up to the total itself and bisect_right run past the partial sums
+    class Stub:
+        waits = iter([0.0, math.inf])
+
+        def exponential(self, scale):
+            return next(self.waits)
+
+        def random(self):
+            return 1.0 - 2.0 ** -53
+
+    picks, bisect_right = [], micro.bisect_right
+
+    def recording_bisect_right(acc, x):
+        picks.append((bisect_right(acc, x), len(acc)))
+        return picks[-1][0]
+
+    monkeypatch.setattr(micro, "_rekeyed_rng", lambda seed, rep: Stub())
+    monkeypatch.setattr(micro, "bisect_right", recording_bisect_right)
+    params = StrainParams.uniform(BIP33, 1e-308, 1e-308)
+    traj = simulate(MacroCounts(((1,), (0,)), BIP33.sizes), BIP33, params, 1.0, 0, [1.0])
+    assert picks == [(4, 4)]
+    assert traj.event_totals == {("infect", 2, 1): 1}
+    assert traj.counts[-1].tolist() == [[1], [1]]
 
 
 def test_simulators_refuse_rates_that_overflow():

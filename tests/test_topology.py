@@ -43,6 +43,16 @@ def test_bad_labels_and_sizes_rejected():
         build_supernetwork([4], [])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: superdegree(cycle_supernetwork(3, 1), 0), "island label 0 out of range 1..3"),
+    (lambda: cycle_supernetwork(2, 1), "a cycle needs at least 3 islands"),
+    (lambda: star_supernetwork(3, [1, 2]), "expected 3 island sizes, got 2"),
+], ids=["island-label-0", "cycle-of-two", "sizes-short"])
+def test_generator_and_label_refusals(call, message):
+    with pytest.raises(TopologyError, match=f"^{message}$"):
+        call()
+
+
 def test_duplicate_edges_collapse():
     net = build_supernetwork([1, 1, 1], [(1, 2), (2, 1), (1, 2), (2, 3)])
     assert len(net.edges) == 2
