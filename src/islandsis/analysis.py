@@ -27,8 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .meanfield import MeanFieldParams, integrate, validate_state
-from .micro import _is_count
-from .topology import SuperNetwork, is_regular, superdegree
+from .topology import SuperNetwork, _is_count, is_regular, superdegree
 
 
 class UnmetHypothesisError(ValueError):
@@ -284,11 +283,14 @@ def sign_probe(coeffs: Sequence[float]) -> LocalSign:
     An analytic function whose derivatives at T vanish through order k-1
     while the kth is positive is positive on (T, T+eps); the probe reads that
     off numerically.  All-exact-zero input is ZERO; input that never clears
-    the threshold but is not exactly zero is INCONCLUSIVE (noise).
+    the threshold but is not exactly zero is INCONCLUSIVE (noise).  A
+    non-finite coefficient is refused.
     """
     coeffs = list(coeffs)
     if not coeffs:
         raise ValueError("need at least one coefficient")
+    if not all(map(math.isfinite, coeffs)):
+        raise ValueError(f"coefficients must be finite, got {coeffs}")
     for cval in coeffs:
         if abs(cval) > SIGN_THRESHOLD:
             return LocalSign.LOCALLY_POSITIVE if cval > 0 else LocalSign.LOCALLY_NEGATIVE

@@ -24,10 +24,9 @@ A single YAML document drives every subcommand.  Full key set:
     workers: <int>                # parallel replications; default 1
     out: <path>                   # output directory, a non-empty string
     integrator:                   # optional overrides
-      method: rk45 | rk4
+      method: rk45                # the one scheme, adaptive Dormand-Prince 5(4)
       rtol: <float>
       atol: <float>
-      fixed_step: <float>
     suite: <name> | [<name>, ...] # suite subcommand; omit to run all
     taylor_order: <int>           # taylor subcommand; 0..12, default 6
     compare:
@@ -362,16 +361,9 @@ class ExperimentConfig:
 
     def step_control(self) -> StepControl:
         section = _mapping(self.raw.get("integrator", {}), "integrator")
-        kwargs: dict[str, Any] = {}
-        if "method" in section:
-            kwargs["method"] = section["method"]
-        for key in ("rtol", "atol", "fixed_step"):
-            if key in section:
-                kwargs[key] = _as_positive_float(section[key], f"integrator.{key}")
-        try:
-            return StepControl(**kwargs)
-        except ValueError as exc:  # the other keys are checked above, so the method is bad
-            raise ConfigError("integrator.method", str(exc)) from exc
+        _choice(section.get("method", "rk45"), "integrator.method", ("rk45",))
+        return StepControl(**{key: _as_positive_float(section[key], f"integrator.{key}")
+                              for key in ("rtol", "atol") if key in section})
 
     def suites(self) -> tuple[str, ...]:
         suite = self.raw.get("suite", list(SUITE_NAMES))

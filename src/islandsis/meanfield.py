@@ -22,8 +22,8 @@ of projecting, so a violation surfaces as an error rather than being masked.
 One rule, `_simplex_violation`, checks both a start (:func:`validate_state`)
 and every accepted step, and it refuses a NaN fraction.  The horizon and
 sample times are checked by the same rule as the simulators' sample grids,
-and a :class:`StepControl` refuses a bad method, tolerance or step when it
-is built.
+and a :class:`StepControl` refuses a bad tolerance, step or step budget when
+it is built.
 """
 
 from __future__ import annotations
@@ -77,7 +77,9 @@ class MeanFieldParams:
 
     @classmethod
     def symmetric(cls, net: SuperNetwork, gammas: float | Sequence[float]) -> "MeanFieldParams":
-        """Equal island sizes assumed; one uniform rate per strain."""
+        """One uniform rate per strain on islands of equal size; unequal sizes are refused."""
+        if len(set(net.sizes)) > 1:
+            raise ValueError(f"a symmetric configuration needs equal island sizes, got {net.sizes}")
         return cls(net, StrainParams.uniform(net, [float(g) for g in np.atleast_1d(gammas)]).gamma)
 
     @classmethod
@@ -168,24 +170,18 @@ def rhs(y: np.ndarray, params: MeanFieldParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StepControl:
-    """Integrator configuration.
+    """Error control of the adaptive Dormand-Prince 5(4) pair.
 
-    method "rk45" is an explicit embedded Dormand-Prince 5(4) pair with
-    adaptive steps; "rk4" is the classical fixed-step fourth-order scheme for
-    deterministic regression output.  Steps and tolerances are positive and finite.
+    Tolerances and the smallest step are positive and finite.
     """
 
-    method: str = "rk45"
     rtol: float = 1e-9
     atol: float = 1e-12
     h_min: float = 1e-13
-    fixed_step: float = 1e-3
     max_steps: int = 5_000_000
 
     def __post_init__(self):
-        if self.method not in ("rk45", "rk4"):
-            raise ValueError(f"unknown integrator method {self.method!r}")
-        for name in ("rtol", "atol", "h_min", "fixed_step"):
+        for name in ("rtol", "atol", "h_min"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
@@ -211,15 +207,10 @@ class OdeTrajectory:
     def final(self) -> np.ndarray:
         return self.states[-1]
 
-    @property
-    def method(self) -> str:
-        return self.control.method
+    method = "rk45"  # the one scheme, named in CSV headers and manifests
 
     def integrator_metadata(self) -> dict:
-        meta = {"method": self.method, "rtol": self.control.rtol, "atol": self.control.atol}
-        if self.method == "rk4":
-            meta["fixed_step"] = self.control.fixed_step
-        return meta
+        return {"method": self.method, "rtol": self.control.rtol, "atol": self.control.atol}
 
 
 # Dormand-Prince 5(4) tableau (Dormand & Prince, J. Comput. Appl. Math. 6 (1980)).
@@ -274,14 +265,6 @@ def _dp_attempt(f, t, y, h, k0):
     return ys, err, k[6]
 
 
-def _rk4_step(f, t, y, h):
-    k1 = f(t, y)
-    k2 = f(t + h / 2, y + h / 2 * k1)
-    k3 = f(t + h / 2, y + h / 2 * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def integrate_field(
     f: Callable[[float, np.ndarray], np.ndarray],
     y0: np.ndarray,
@@ -298,9 +281,9 @@ def integrate_field(
     steps are clipped to them, never interpolated.  Sample t_eval[i] takes
     the state at t = 0 or after an accepted step once
     t >= t_eval[i] - 1e-14 * max(1, t), and the integration stops once the
-    last sample is taken.  t_end bounds the grid and sets the first adaptive
-    step; t_end and t_eval are checked by the simulators' grid rule.
-    An rk45 call evaluates f 1 + 6 * (n_steps + n_rejected) times.
+    last sample is taken.  t_end bounds the grid and sets the first step,
+    min(0.05, t_end / 10); t_end and t_eval are checked by the simulators'
+    grid rule.  A call evaluates f 1 + 6 * (n_steps + n_rejected) times.
 
     Raises:
         IntegrationError: when the adaptive step underflows control.h_min,
@@ -316,13 +299,11 @@ def integrate_field(
     t = 0.0
     n_steps = 0
     n_rejected = 0
-    adaptive = control.method == "rk45"
-    h = min(0.05, t_end / 10) if adaptive else control.fixed_step
-    # Overflow in an adaptive trial step is expected near rejection; it
-    # surfaces as a non-finite error norm and the step is retried smaller.
-    # A fixed step has no retry, so the simplex guard refuses the state.
+    h = min(0.05, t_end / 10)
+    # Overflow in a trial step is expected near rejection; it surfaces as a
+    # non-finite error norm and the step is retried smaller.
     with np.errstate(over="ignore", invalid="ignore"):
-        k0 = f(t, y) if adaptive else None
+        k0 = f(t, y)
         while True:
             while ei < t_eval.size and t >= t_eval[ei] - 1e-14 * max(1.0, t):
                 states.append(y.copy())
@@ -332,22 +313,19 @@ def integrate_field(
             if n_steps + n_rejected >= control.max_steps:
                 raise IntegrationError(f"step budget {control.max_steps} exhausted at t={t:g}")
             h_try = min(h, t_eval[ei] - t)
-            if not adaptive:
-                y_new = _rk4_step(f, t, y, h_try)
-            else:
-                y_new, err, k_new = _dp_attempt(f, t, y, h_try, k0)
-                scale = control.atol + control.rtol * np.maximum(np.abs(y), np.abs(y_new))
-                err_norm = float((np.abs(err) / scale).max()) if err.size else 0.0
-                if not math.isfinite(err_norm) or err_norm > 1.0:
-                    n_rejected += 1
-                    shrink = 0.2 if not math.isfinite(err_norm) else max(0.2, 0.9 * err_norm**-0.2)
-                    h = h_try * shrink
-                    if h < control.h_min:
-                        raise IntegrationError(f"step size underflow at t={t:g} (h={h:.3e})")
-                    continue
-                grow = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm**-0.2))
-                h = h_try * grow
-                k0 = k_new
+            y_new, err, k_new = _dp_attempt(f, t, y, h_try, k0)
+            scale = control.atol + control.rtol * np.maximum(np.abs(y), np.abs(y_new))
+            err_norm = float((np.abs(err) / scale).max()) if err.size else 0.0
+            if not math.isfinite(err_norm) or err_norm > 1.0:
+                n_rejected += 1
+                shrink = 0.2 if not math.isfinite(err_norm) else max(0.2, 0.9 * err_norm**-0.2)
+                h = h_try * shrink
+                if h < control.h_min:
+                    raise IntegrationError(f"step size underflow at t={t:g} (h={h:.3e})")
+                continue
+            grow = 5.0 if err_norm == 0.0 else min(5.0, max(0.2, 0.9 * err_norm**-0.2))
+            h = h_try * grow
+            k0 = k_new
             t = t + h_try
             y = y_new
             n_steps += 1
@@ -404,8 +382,8 @@ def reduced_scalar_solution(d: int, gamma: float, y0: float, t):
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
     if not 0.0 <= y0 <= 1.0:
         raise ValueError("y0 must lie in [0, 1]")
     t = np.asarray(t, dtype=float)

@@ -56,7 +56,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .topology import SuperNetwork
+from .topology import SuperNetwork, _is_count
 
 INFECT = "infect"
 HEAL = "heal"
@@ -170,11 +170,6 @@ def edge_rows(
     except KeyError as exc:
         raise ValueError(f"no rate keyed {exc.args[0]}; every directed island edge "
                          "needs a strictly positive rate") from None
-
-
-def _is_count(value) -> bool:
-    """Whether value is an integer, numpy's included, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _per_strain(value) -> list:

@@ -93,15 +93,27 @@ def _check_island(net: SuperNetwork, i: int) -> None:
         raise TopologyError(f"island label {i} out of range 1..{net.num_islands}")
 
 
+def _is_count(value) -> bool:
+    """Whether value is an integer, numpy's included, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _integer(value, what: str) -> int:
+    if not _is_count(value):
+        raise TopologyError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def build_supernetwork(
     island_sizes: Sequence[int], edge_list: Iterable[tuple[int, int]]
 ) -> SuperNetwork:
     """Validate and build a supernetwork from sizes and an island edge list.
 
-    Duplicate edges (in either orientation) collapse to one.  Self-loops and
-    out-of-range labels are rejected; at least two islands are required.
+    Duplicate edges (in either orientation) collapse to one.  Sizes and
+    labels that are not integers, self-loops and out-of-range labels are
+    rejected; at least two islands are required.
     """
-    sizes = tuple(int(n) for n in island_sizes)
+    sizes = tuple(_integer(n, "island size") for n in island_sizes)
     if len(sizes) < 2:
         raise TopologyError("need at least two islands")
     if any(n <= 0 for n in sizes):
@@ -109,7 +121,7 @@ def build_supernetwork(
     m = len(sizes)
     canon = set()
     for a, b in edge_list:
-        a, b = int(a), int(b)
+        a, b = _integer(a, "island label"), _integer(b, "island label")
         if a == b:
             raise TopologyError(f"self-loop ({a},{b}): islands have no internal edges")
         if not (1 <= a <= m and 1 <= b <= m):
@@ -172,9 +184,8 @@ def bipartite_supernetwork(size1: int, size2: int | None = None) -> SuperNetwork
 
 
 def _expand_sizes(size: int | Sequence[int], m: int) -> tuple[int, ...]:
-    if isinstance(size, (int, np.integer)):
-        return (int(size),) * m
-    sizes = tuple(int(s) for s in size)
+    # build_supernetwork checks each size, a scalar's copies included
+    sizes = tuple(size) if isinstance(size, Iterable) else (size,) * m
     if len(sizes) != m:
         raise TopologyError(f"expected {m} island sizes, got {len(sizes)}")
     return sizes

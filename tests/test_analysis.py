@@ -302,6 +302,11 @@ class TestSignProbe:
         with pytest.raises(ValueError):
             sign_probe(())
 
+    def test_non_finite_coefficient_refused(self):
+        # a NaN is not skipped in favour of the next coefficient
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            sign_probe([math.nan, 1.0])
+
 
 class TestLyapunovError:
     def test_values(self):

@@ -177,8 +177,7 @@ def test_taylor_overflow_exits_2_and_writes_nothing(tmp_path, capsys):
 def test_rk4_overflow_prints_one_integration_error_line(tmp_path):
     # in a process of its own, so numpy's warnings reach stderr as a user sees them
     cfg = write_cfg(tmp_path, sizes=10, strains=[{"gamma": 1e150}], t_end=1, grid=3,
-                    initial={"kind": "uniform", "fraction": 0.1},
-                    integrator={"method": "rk4", "fixed_step": 0.1})
+                    initial={"kind": "uniform", "fraction": 0.1})
     src = str(Path(islandsis.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run([sys.executable, "-m", "islandsis.harness.cli", "meanfield", str(cfg),
@@ -186,7 +185,7 @@ def test_rk4_overflow_prints_one_integration_error_line(tmp_path):
                             env=env, capture_output=True, text=True, timeout=60)
     err = result.stderr.splitlines()
     assert result.returncode == 2
-    assert len(err) == 1 and err[0].startswith("integration error: domain violation"), err
+    assert len(err) == 1 and err[0].startswith("integration error: step size underflow"), err
 
 
 def test_suite_subcommand(tmp_path, capsys):
@@ -303,7 +302,7 @@ def test_config_error_exit_codes(tmp_path, capsys):
     ("simulate", {"integrator": {1: 2}}, "integrator"),
     ("meanfield", {"t_end": 5e-324}, "grid"),
     ("meanfield", {"strains": [{"gamma": 2.0, "mu": 5e-324}]}, "strains"),
-    ("meanfield", {"integrator": {"method": "rk4", "fixed_step": 1e-300}}, "integrator.fixed_step"),
+    ("meanfield", {"integrator": {"method": "rk4", "fixed_step": 1e-300}}, "integrator.method"),
     ("simulate", {"sizes": [2**70, 3]}, "sizes[0]"),
     ("converge", {"size_schedule": [4, 8, 2**70]}, "size_schedule[2]"),
     ("simulate", {"strains": [{"gamma": 1.0e308}]}, "strains"),
@@ -571,16 +570,11 @@ def test_env_out_override(tmp_path, monkeypatch, capsys):
 
 
 def test_integration_failure_exits_2(tmp_path, capsys):
-    # RK4 with step 0.5 is unstable at gamma 50 and leaves the simplex
-    cfg = write_cfg(
-        tmp_path,
-        strains=[{"gamma": 50.0, "mu": 1.0}],
-        t_end=5.0,
-        integrator={"method": "rk4", "fixed_step": 0.5},
-    )
+    # so stiff that the error control shrinks the first step below h_min
+    cfg = write_cfg(tmp_path, sizes=10, strains=[{"gamma": 1.0e30, "mu": 1.0}], t_end=1.0)
     assert main(["meanfield", str(cfg), "--out", str(tmp_path / "mf")]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("integration error: "), err
+    assert err == ["integration error: step size underflow at t=0 (h=6.554e-14)"], err
 
 
 # sha256 of meanfield.csv for the BASE config, as written before the manifest
@@ -631,8 +625,8 @@ def test_only_integrate_calls_integrate_field():
 
 # Outputs at a common healing rate mu != 1, as written when the harness still
 # rescaled (gamma -> gamma/mu, t -> mu*t) itself: a 4-island custom network
-# with unequal sizes, two strains (one given per ordered pair) at mu = 2.5; an
-# rk4 run at mu = 1.7; and a classification at mu = 2.
+# with unequal sizes, two strains (one given per ordered pair) at mu = 2.5; and
+# a classification at mu = 2.
 PINNED_MU_CUSTOM = {
     "topology": {"generator": "custom", "edges": [[1, 2], [2, 1], [2, 3], [3, 2], [3, 4], [4, 3],
                                                   [4, 1], [1, 4], [1, 3], [3, 1]]},
@@ -650,8 +644,6 @@ PINNED_MU_CUSTOM = {
     "replications": 3,
     "seed": 5,
 }
-PINNED_MU_RK4 = dict(BASE, strains=[{"gamma": 3.0, "mu": 1.7}], t_end=2.5, grid=6,
-                     integrator={"method": "rk4", "fixed_step": 0.01})
 PINNED_MU_CLASSIFY = dict(BASE, topology={"generator": "cycle", "islands": 5}, sizes=10,
                           strains=[{"gamma": 2.4, "mu": 2.0}, {"gamma": 1.6, "mu": 2.0}])
 PINNED_MU_SHA256 = {
@@ -661,8 +653,6 @@ PINNED_MU_SHA256 = {
         "d7fd5ef5fce55184bef12d0c5c1841e16ff84800ccdf1cd515d9f8676df41923",
     ("converge", "custom"):
         "5d2f1867198a658962863d735b067c738753a8152b7bb69b47da4aef726cba6f",
-    ("meanfield", "rk4"):
-        "4ec98b57df3523d8587271271b986616a2f03dfe335f91c3106583f1c790d567",
     ("classify", "classify"):
         "c7a87543f79292ef269dfa3a06d524b3087f3350e9ab258a9b1f620f25d7d70c",
 }
@@ -673,7 +663,7 @@ PINNED_MU_FILES = {"meanfield": "meanfield.csv", "taylor": "taylor_table.json",
 @pytest.mark.parametrize("command, case", list(PINNED_MU_SHA256),
                          ids=[f"{command}-{case}" for command, case in PINNED_MU_SHA256])
 def test_nonunit_healing_rate_outputs_are_pinned(tmp_path, capsys, command, case):
-    raw = {"custom": PINNED_MU_CUSTOM, "rk4": PINNED_MU_RK4, "classify": PINNED_MU_CLASSIFY}[case]
+    raw = {"custom": PINNED_MU_CUSTOM, "classify": PINNED_MU_CLASSIFY}[case]
     path = tmp_path / "mu.yaml"
     path.write_text(yaml.safe_dump(raw))
     out = tmp_path / "run"

@@ -210,15 +210,14 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="finite"):
             integrate(params, np.array([[0.2], [0.1]]), math.inf)
 
-    @pytest.mark.parametrize("method", ["rk45", "rk4"])
-    def test_healing_rate_runs_the_unit_field_in_scaled_time(self, method):
+    def test_healing_rate_runs_the_unit_field_in_scaled_time(self):
         # the field at mu over t is, bit for bit, the same rates at mu = 1 over mu * t
         net = cycle_supernetwork(4, 1)
         unit = MeanFieldParams.from_rates(net, 2, {(k, j, i): 0.5 + 0.3 * k + 0.1 * j
                                                    for k in (1, 2) for j, i in net.in_edge_pairs})
         healing = MeanFieldParams(net, unit.w, 2.5)
         y0 = np.random.default_rng(2).uniform(0, 0.4, (4, 2))
-        control = StepControl(method=method, fixed_step=1e-3)
+        control = StepControl()
         grid = np.linspace(0.0, 1.2, 7)
         mine = integrate(healing, y0, 1.2, control=control, t_eval=grid)
         ref = integrate(unit, y0, 2.5 * 1.2, control=control, t_eval=2.5 * grid)
@@ -233,39 +232,22 @@ class TestIntegrate:
         params = MeanFieldParams.symmetric(BIP, 2.0)
         with pytest.raises(ValueError):
             integrate(params, np.array([[0.8], [1.2]]), 1.0)
+        with pytest.raises(ValueError, match="fraction -1.000e-01 below 0"):
+            integrate(params, np.array([[-0.1], [0.2]]), 1.0)
         with pytest.raises(ValueError):
             integrate(params, np.array([[0.5], [0.5]]), -1.0)
 
-    def test_rk4_mode_matches_adaptive(self):
-        params = MeanFieldParams.symmetric(BIP, 2.0)
-        grid = np.linspace(0, 5, 6)
-        fixed = integrate(
-            params, np.array([[0.3], [0.7]]), 5.0,
-            control=StepControl(method="rk4", fixed_step=1e-3), t_eval=grid,
-        )
-        adaptive = integrate(params, np.array([[0.3], [0.7]]), 5.0, t_eval=grid)
-        assert fixed.method == "rk4" and fixed.n_rejected == 0
-        assert np.abs(fixed.states - adaptive.states).max() < 1e-9
-        again = integrate(
-            params, np.array([[0.3], [0.7]]), 5.0,
-            control=StepControl(method="rk4", fixed_step=1e-3), t_eval=grid,
-        )
-        assert np.array_equal(fixed.states, again.states)
-
-    def test_rk4_stops_at_its_last_sample(self):
-        # step 300 of 0.01 ends within 1e-14 of t = 3, close enough to take the last sample
-        params = MeanFieldParams.symmetric(cycle_supernetwork(5, 1), (2.0, 1.0))
-        y0 = np.random.default_rng(0).uniform(0.0, 0.4, (5, 2))
-        traj = integrate(params, y0, 3.0, control=StepControl(method="rk4", fixed_step=0.01),
-                         t_eval=np.linspace(0.0, 3.0, 7))
-        assert (traj.n_steps, traj.n_rejected) == (300, 0)
-
     def test_steps_past_the_last_sample_do_not_count_against_the_budget(self):
+        # both runs start at step min(0.05, t_end / 10) = 0.05, so they take the same steps to t = 1
         params = MeanFieldParams.symmetric(BIP, 2.0)
-        control = StepControl(method="rk4", fixed_step=0.01, max_steps=1000)
-        traj = integrate(params, np.array([[0.3], [0.1]]), 100.0, control=control,
-                         t_eval=[0.0, 1.0])
-        assert traj.n_steps == 100 and np.array_equal(traj.times, [0.0, 1.0])
+        y0 = np.array([[0.3], [0.1]])
+        short = integrate(params, y0, 1.0)
+        needed = short.n_steps + short.n_rejected
+        traj = integrate(params, y0, 100.0, control=StepControl(max_steps=needed), t_eval=[0.0, 1.0])
+        assert (traj.n_steps, traj.n_rejected) == (short.n_steps, short.n_rejected)
+        assert np.array_equal(traj.final, short.final) and np.array_equal(traj.times, [0.0, 1.0])
+        with pytest.raises(IntegrationError, match=f"step budget {needed - 1} exhausted"):
+            integrate(params, y0, 100.0, control=StepControl(max_steps=needed - 1), t_eval=[0.0, 1.0])
 
     def test_step_underflow_reported(self):
         # stiff decay inside the simplex: stability needs steps far below h_min
@@ -281,32 +263,33 @@ class TestIntegrate:
             integrate_field(lambda t, y: np.ones_like(y), np.array([[0.5]]), 2.0)
 
     def test_domain_guard_refuses_nan(self):
-        # rk4 has no error estimate to reject a NaN step, so the guard must
-        with pytest.raises(IntegrationError, match="NaN"):
-            integrate_field(
-                lambda t, y: np.full_like(y, np.nan), np.array([[0.5]]), 1.0,
-                control=StepControl(method="rk4", fixed_step=0.1),
-            )
+        # a NaN trial state makes the error norm NaN, so every attempt is rejected
+        with pytest.raises(IntegrationError, match="underflow"):
+            integrate_field(lambda t, y: np.full_like(y, np.nan), np.array([[0.5]]), 1.0)
+
+
+BIP_3_4 = bipartite_supernetwork(3, 4)
 
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: MeanFieldParams(BIP, np.ones((1, 3))), ValueError,
      r"rates must have shape \(num_strains, number of directed edges\)"),
-    (lambda: MeanFieldParams.symmetric(bipartite_supernetwork(3, 4), 2.0).uniform_rate(), ValueError,
-     "configuration is not symmetric; no single rate exists"),
+    (lambda: MeanFieldParams.from_micro(BIP_3_4, StrainParams.uniform(BIP_3_4, 2.0)).uniform_rate(),
+     ValueError, "configuration is not symmetric; no single rate exists"),
+    (lambda: MeanFieldParams.symmetric(BIP_3_4, 2.0), ValueError,
+     r"a symmetric configuration needs equal island sizes, got \(3, 4\)"),
     (lambda: integrate(MeanFieldParams.symmetric(BIP, 2.0), np.full((2, 1), 0.3), 10.0,
                        control=StepControl(max_steps=3)), IntegrationError, "step budget 3 exhausted"),
-], ids=["rates-other-edge-count", "uniform-rate-unequal-sizes", "rk45-step-budget"])
+], ids=["rates-other-edge-count", "uniform-rate-unequal-sizes", "symmetric-unequal-sizes",
+        "rk45-step-budget"])
 def test_refusals(call, error, message):
     with pytest.raises(error, match=f"^{message}"):
         call()
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"method": "euler"}, {"rtol": -1.0}, {"rtol": np.nan}, {"atol": 0.0}, {"h_min": np.inf},
-    {"fixed_step": -1e-3}, {"max_steps": 0},
-], ids=["method", "rtol-negative", "rtol-nan", "atol-zero", "h_min-inf", "fixed_step-negative",
-        "max_steps-zero"])
+    {"rtol": -1.0}, {"rtol": np.nan}, {"atol": 0.0}, {"h_min": np.inf}, {"max_steps": 0},
+], ids=["rtol-negative", "rtol-nan", "atol-zero", "h_min-inf", "max_steps-zero"])
 def test_step_control_refuses_bad_values(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         StepControl(**kwargs)
@@ -390,6 +373,8 @@ class TestReducedScalar:
             reduced_scalar_solution(1, -1.0, 0.5, 1.0)
         with pytest.raises(ValueError):
             reduced_scalar_solution(1, 1.0, 1.5, 1.0)
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            reduced_scalar_solution(1, math.inf, 0.3, 1.0)
 
 
 def reduced_bivirus(d, gamma_x, gamma_y, x0, y0, t_end):

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -47,10 +48,24 @@ def test_bad_labels_and_sizes_rejected():
     (lambda: superdegree(cycle_supernetwork(3, 1), 0), "island label 0 out of range 1..3"),
     (lambda: cycle_supernetwork(2, 1), "a cycle needs at least 3 islands"),
     (lambda: star_supernetwork(3, [1, 2]), "expected 3 island sizes, got 2"),
-], ids=["island-label-0", "cycle-of-two", "sizes-short"])
+    # a size or label that is not an integer is refused, never truncated
+    (lambda: build_supernetwork((2.5, 3), [(1, 2)]), "island size must be an integer, got 2.5"),
+    (lambda: build_supernetwork(np.array([2.9, 3.0]), [(1, 2)]),
+     r"island size must be an integer, got np.float64\(2.9\)"),
+    (lambda: build_supernetwork((2, 3), [(1.7, 2)]), "island label must be an integer, got 1.7"),
+    (lambda: build_supernetwork((True, 3), [(1, 2)]), "island size must be an integer, got True"),
+    (lambda: cycle_supernetwork(3, 2.5), "island size must be an integer, got 2.5"),
+], ids=["island-label-0", "cycle-of-two", "sizes-short", "float-size", "numpy-float-size",
+        "float-label", "bool-size", "generator-float-size"])
 def test_generator_and_label_refusals(call, message):
     with pytest.raises(TopologyError, match=f"^{message}$"):
         call()
+
+
+def test_numpy_integer_sizes_and_labels_accepted():
+    net = build_supernetwork(np.array([2, 3]), [(np.int64(1), np.int32(2))])
+    assert net.sizes == (2, 3) and net.edges == {(1, 2)}
+    assert all(type(n) is int for n in net.sizes)
 
 
 def test_duplicate_edges_collapse():
