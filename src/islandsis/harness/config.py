@@ -23,14 +23,13 @@ A single YAML document drives every subcommand.  Full key set:
     seed: <int>                   # master seed in [0, 2**64); default 0
     workers: <int>                # parallel replications; default 1
     out: <path>                   # output directory, a non-empty string
-    integrator:                   # optional overrides
-      method: rk45                # the one scheme, adaptive Dormand-Prince 5(4)
-      rtol: <float>
-      atol: <float>
+    integrator:                   # adaptive Dormand-Prince 5(4), the one scheme
+      rtol: <float>               # default 1e-9
+      atol: <float>               # default 1e-12
     suite: <name> | [<name>, ...] # suite subcommand; omit to run all
     taylor_order: <int>           # taylor subcommand; 0..12, default 6
     compare:
-      max_deviation: <float>      # compare subcommand failure threshold
+      max_deviation: <float>      # compare subcommand failure threshold; none if absent or null
     plotdata:
       inputs: [<csv path>, ...]   # existing trajectory files
       mode: series | overlay
@@ -41,13 +40,15 @@ goes, and so is `null` wherever a key has a default.  Mapping keys are
 strings.  The output directory resolves as --out flag, then the
 ISLANDSIS_OUT environment variable, then the `out` key (default "./out").
 
-Every key above is read and checked here, and nowhere else, each kind of
-value by one rule: integers by `_as_int`, numbers by `_as_number`, mappings
-by `_mapping` and names by `_choice`.  The generators are the keys of
-GENERATORS.  Bad input raises ConfigError naming the offending field path; so
-do the run directory `compare` reads (on `out`) and the files `plotdata`
-merges (on `plotdata.inputs`) when they cannot be parsed.  The CLI exits with
-status 2 on a ConfigError.
+Every key above is declared once, with its default, in SCHEMA and read
+through `_get`, here and nowhere else.  Any other key is refused, and so is a
+key repeated within one mapping (overriding a key a `<<` merge brings in is
+no repeat).  Each kind of value has one rule: integers `_as_int`, numbers
+`_as_number`, mappings `_mapping` and names `_choice`.  The generators are
+the keys of GENERATORS.  Bad input raises ConfigError naming the offending
+field path; so do the run directory `compare` reads (on `out`) and the files
+`plotdata` merges (on `plotdata.inputs`) when they cannot be parsed.  The CLI
+exits with status 2 on a ConfigError.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -86,10 +88,27 @@ class ConfigError(ValueError):
         super().__init__(f"{field_path}: {message}")
 
 
-def _need(mapping: dict, key: str, path: str) -> Any:
-    if key not in mapping:
-        raise ConfigError(f"{path}.{key}" if path else key, "missing required key")
-    return mapping[key]
+REQUIRED = object()  # SCHEMA: each key path ("strains[]" is each strain) -> its default or this
+SCHEMA: dict[str, Any] = {
+    "topology": REQUIRED, "topology.generator": REQUIRED, "topology.islands": REQUIRED,
+    "topology.edges": REQUIRED, "sizes": REQUIRED, "size_schedule": REQUIRED, "strains": REQUIRED,
+    "strains[].gamma": REQUIRED, "strains[].mu": 1.0, "initial": REQUIRED,
+    "initial.kind": "uniform", "initial.fraction": REQUIRED, "initial.values": REQUIRED,
+    "initial.island": REQUIRED, "initial.strain": 1, "t_end": REQUIRED, "grid": 101,
+    "replications": 1, "seed": 0, "workers": 1, "out": "out", "integrator": {},
+    "integrator.rtol": StepControl.rtol, "integrator.atol": StepControl.atol,
+    "suite": list(SUITE_NAMES), "taylor_order": 6, "compare": {}, "compare.max_deviation": None,
+    "plotdata": {}, "plotdata.inputs": [], "plotdata.mode": "series",
+    "plotdata.output": "plotdata.csv",
+}
+
+
+def _get(mapping: dict, key: str, path: str) -> Any:
+    """mapping[key], else its SCHEMA default; `path` is the mapping's own key path."""
+    full = f"{path}.{key}" if path else key
+    if (value := mapping.get(key, SCHEMA[re.sub(r"\[\d+\]", "[]", full)])) is REQUIRED:
+        raise ConfigError(full, "missing required key")
+    return value
 
 
 def _as_int(value, path: str, low: int = 1, high: float = math.inf) -> int:
@@ -141,20 +160,39 @@ def _choice(value, path: str, choices) -> str:
     return value
 
 
-def _string_keys(data, path: str = "") -> None:
-    """Refuse a mapping key that is not a string anywhere in the document."""
+def _check_keys(data, path: str = "") -> None:
+    """Refuse a non-string key anywhere, and an undeclared one in a mapping SCHEMA declares."""
     if isinstance(data, dict):
+        section = re.sub(r"\[\d+\]", "[]", path)
+        declared = {p.rpartition(".")[2] for p in SCHEMA if p.rpartition(".")[0] == section}
         for key, value in data.items():
             if not isinstance(key, str):
                 raise ConfigError(path or "(file)", f"mapping keys must be strings, got {key!r}")
-            _string_keys(value, f"{path}.{key}" if path else key)
+            if declared and key not in declared:
+                raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
+            _check_keys(value, f"{path}.{key}" if path else key)
     elif isinstance(data, list):
         for n, value in enumerate(data):
-            _string_keys(value, f"{path}[{n}]")
+            _check_keys(value, f"{path}[{n}]")
+
+
+def _refuse_repeats(node: yaml.Node, path: str = "") -> None:
+    """Refuse a key repeated within one mapping; overriding a `<<` merged key is no repeat."""
+    if isinstance(node, yaml.MappingNode):
+        seen = set()
+        for key, value in node.value:
+            here = f"{path}.{key.value}" if path else str(key.value)
+            if (key.tag, here) in seen:
+                raise ConfigError(here, "repeated key")
+            seen.add((key.tag, here))
+            _refuse_repeats(value, here)
+    elif isinstance(node, yaml.SequenceNode):
+        for n, value in enumerate(node.value):
+            _refuse_repeats(value, f"{path}[{n}]")
 
 
 def _custom_network(topo: dict, sizes: tuple[int, ...]) -> SuperNetwork:
-    edges = _need(topo, "edges", "topology")
+    edges = _get(topo, "edges", "topology")
     if not isinstance(edges, list):
         raise ConfigError("topology.edges", "expected a list of [j, i] pairs")
     for n, e in enumerate(edges):
@@ -183,60 +221,64 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, path: str | Path) -> "ExperimentConfig":
-        p = Path(path)
-        if not p.exists():
-            raise ConfigError("(file)", f"config file not found: {p}")
         try:
-            data = yaml.safe_load(p.read_text())
-        except yaml.YAMLError as exc:
-            raise ConfigError("(file)", f"not valid YAML: {exc}") from exc
+            loader = yaml.SafeLoader(Path(path).read_text(encoding="utf-8"))
+            _refuse_repeats(node := loader.get_single_node())
+            data = loader.construct_document(node) if node else None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError("(file)", f"cannot read config file {path}: {exc}") from exc
+        except yaml.YAMLError as exc:  # on one line: the problem and where it is
+            at = getattr(exc, "problem_mark", None)
+            where = exc if at is None else (
+                f"{exc.context or ''} {exc.problem} (line {at.line + 1}, column {at.column + 1})")
+            raise ConfigError("(file)", " ".join(f"not valid YAML: {where}".split())) from exc
         return cls.from_dict(data)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
-        """The one way in: the document must be a mapping with string keys throughout."""
-        _string_keys(_mapping(data, "(file)"))
+        """The one way in: a mapping with string keys throughout and only declared keys."""
+        _check_keys(_mapping(data, "(file)"))
         return cls(raw=dict(data))
 
     # -- core sections ----------------------------------------------------
 
     @property
     def seed(self) -> int:
-        return _as_int(self.raw.get("seed", 0), "seed", 0, SEED_LIMIT - 1)
+        return _as_int(_get(self.raw, "seed", ""), "seed", 0, SEED_LIMIT - 1)
 
     @property
     def t_end(self) -> float:
-        return _as_positive_float(_need(self.raw, "t_end", ""), "t_end")
+        return _as_positive_float(_get(self.raw, "t_end", ""), "t_end")
 
     @property
     def replications(self) -> int:
-        return _as_int(self.raw.get("replications", 1), "replications")
+        return _as_int(_get(self.raw, "replications", ""), "replications")
 
     @property
     def workers(self) -> int:
-        return _as_int(self.raw.get("workers", 1), "workers")
+        return _as_int(_get(self.raw, "workers", ""), "workers")
 
     def _topology(self) -> tuple[dict, str]:
         """The topology section and its generator, a key of GENERATORS."""
-        topo = _mapping(_need(self.raw, "topology", ""), "topology")
-        return topo, _choice(_need(topo, "generator", "topology"), "topology.generator", GENERATORS)
+        topo = _mapping(_get(self.raw, "topology", ""), "topology")
+        return topo, _choice(_get(topo, "generator", "topology"), "topology.generator", GENERATORS)
 
     def num_islands(self) -> int:
         topo, gen = self._topology()
         if gen == "bipartite":
             return 2
         if gen == "custom":
-            sizes = _need(self.raw, "sizes", "")
+            sizes = _get(self.raw, "sizes", "")
             if not isinstance(sizes, list):
                 raise ConfigError("sizes", "custom topology needs an explicit size list")
             return len(sizes)
-        return _as_int(_need(topo, "islands", "topology"), "topology.islands")
+        return _as_int(_get(topo, "islands", "topology"), "topology.islands")
 
     def sizes(self, override_uniform: int | None = None) -> tuple[int, ...]:
         m = self.num_islands()
         if override_uniform is not None:
             return (override_uniform,) * m
-        sizes = _need(self.raw, "sizes", "")
+        sizes = _get(self.raw, "sizes", "")
         if isinstance(sizes, list):
             if len(sizes) != m:
                 raise ConfigError("sizes", f"expected {m} entries, got {len(sizes)}")
@@ -244,7 +286,7 @@ class ExperimentConfig:
         return (_as_size(sizes, "sizes"),) * m
 
     def size_schedule(self) -> tuple[int, ...]:
-        sched = _need(self.raw, "size_schedule", "")
+        sched = _get(self.raw, "size_schedule", "")
         if not isinstance(sched, list) or len(sched) < 3:
             raise ConfigError("size_schedule", "need a list of at least 3 sizes")
         sizes = tuple(_as_size(s, f"size_schedule[{i}]") for i, s in enumerate(sched))
@@ -264,14 +306,14 @@ class ExperimentConfig:
 
     def strain_specs(self) -> list[tuple[str, Any, float]]:
         """(field path, gamma value, validated mu) per strain."""
-        strains = _need(self.raw, "strains", "")
+        strains = _get(self.raw, "strains", "")
         if not isinstance(strains, list) or not strains:
             raise ConfigError("strains", "expected a non-empty list")
         specs = []
         for k, section in enumerate(strains):
             path = f"strains[{k}]"
-            g = _need(_mapping(section, path), "gamma", path)
-            specs.append((path, g, _as_positive_float(section.get("mu", 1.0), f"{path}.mu")))
+            g = _get(_mapping(section, path), "gamma", path)
+            specs.append((path, g, _as_positive_float(_get(section, "mu", path), f"{path}.mu")))
         return specs
 
     def strain_params(self, net: SuperNetwork) -> StrainParams:
@@ -307,13 +349,13 @@ class ExperimentConfig:
     # -- initial conditions -------------------------------------------------
 
     def initial_fractions(self, net: SuperNetwork) -> np.ndarray:
-        section = _mapping(_need(self.raw, "initial", ""), "initial")
+        section = _mapping(_get(self.raw, "initial", ""), "initial")
         m = net.num_islands
         kk = len(self.strain_specs())
-        kind = _choice(section.get("kind", "uniform"), "initial.kind",
+        kind = _choice(_get(section, "kind", "initial"), "initial.kind",
                        ("uniform", "matrix", "single_island"))
         if kind == "uniform":
-            frac = _need(section, "fraction", "initial")
+            frac = _get(section, "fraction", "initial")
             row = (
                 [_as_number(f, f"initial.fraction[{k}]") for k, f in enumerate(frac)]
                 if isinstance(frac, list)
@@ -323,7 +365,7 @@ class ExperimentConfig:
                 raise ConfigError("initial.fraction", f"expected {kk} per-strain entries")
             y0 = np.tile(np.asarray(row), (m, 1))
         elif kind == "matrix":
-            values = _need(section, "values", "initial")
+            values = _get(section, "values", "initial")
             if (not isinstance(values, list) or len(values) != m
                     or any(not isinstance(row, list) or len(row) != kk for row in values)):
                 raise ConfigError("initial.values",
@@ -331,12 +373,12 @@ class ExperimentConfig:
             y0 = np.array([[_as_number(f, f"initial.values[{i}][{k}]") for k, f in enumerate(row)]
                            for i, row in enumerate(values)])
         else:  # single_island
-            island = _as_int(_need(section, "island", "initial"), "initial.island")
-            strain = _as_int(section.get("strain", 1), "initial.strain")
+            island = _as_int(_get(section, "island", "initial"), "initial.island")
+            strain = _as_int(_get(section, "strain", "initial"), "initial.strain")
             if island > m or strain > kk:
                 raise ConfigError("initial", f"island {island}/strain {strain} out of range")
             y0 = np.zeros((m, kk))
-            y0[island - 1, strain - 1] = _as_number(_need(section, "fraction", "initial"),
+            y0[island - 1, strain - 1] = _as_number(_get(section, "fraction", "initial"),
                                                     "initial.fraction")
         if _simplex_violation(y0, 0.0):
             raise ConfigError("initial", "fractions must be >= 0 with island totals <= 1")
@@ -349,7 +391,7 @@ class ExperimentConfig:
 
     def grid_times(self) -> np.ndarray:
         t_end = self.t_end
-        grid = self.raw.get("grid", 101)
+        grid = _get(self.raw, "grid", "")
         if isinstance(grid, list):
             times = [_as_number(t, f"grid[{n}]") for n, t in enumerate(grid)]
         else:
@@ -360,13 +402,13 @@ class ExperimentConfig:
             raise ConfigError("grid", str(exc)) from exc
 
     def step_control(self) -> StepControl:
-        section = _mapping(self.raw.get("integrator", {}), "integrator")
-        _choice(section.get("method", "rk45"), "integrator.method", ("rk45",))
-        return StepControl(**{key: _as_positive_float(section[key], f"integrator.{key}")
-                              for key in ("rtol", "atol") if key in section})
+        section = _mapping(_get(self.raw, "integrator", ""), "integrator")
+        return StepControl(**{key: _as_positive_float(_get(section, key, "integrator"),
+                                                      f"integrator.{key}")
+                              for key in ("rtol", "atol")})
 
     def suites(self) -> tuple[str, ...]:
-        suite = self.raw.get("suite", list(SUITE_NAMES))
+        suite = _get(self.raw, "suite", "")
         named = ([(f"suite[{n}]", name) for n, name in enumerate(suite)]
                  if isinstance(suite, list) else [("suite", suite)])
         return tuple(_choice(name, path, SUITE_NAMES) for path, name in named)
@@ -376,32 +418,30 @@ class ExperimentConfig:
     @property
     def out(self) -> str:
         """The `out` key; the CLI's --out flag and ISLANDSIS_OUT take precedence."""
-        return _as_path(self.raw.get("out", "out"), "out")
+        return _as_path(_get(self.raw, "out", ""), "out")
 
     @property
     def taylor_order(self) -> int:
-        return _as_int(self.raw.get("taylor_order", 6), "taylor_order", 0, MAX_TAYLOR_ORDER)
+        return _as_int(_get(self.raw, "taylor_order", ""), "taylor_order", 0, MAX_TAYLOR_ORDER)
 
     @property
     def max_deviation(self) -> float | None:
         """The `compare` pass/fail threshold, None when the config sets none."""
-        section = _mapping(self.raw.get("compare", {}), "compare")
-        if "max_deviation" not in section:
-            return None
-        return _as_number(section["max_deviation"], "compare.max_deviation")
+        limit = _get(_mapping(_get(self.raw, "compare", ""), "compare"), "max_deviation", "compare")
+        return None if limit is None else _as_number(limit, "compare.max_deviation")
 
     def plotdata(self) -> tuple[list[str], str, str]:
         """(input files, mode, output file name) of the `plotdata` section."""
-        section = _mapping(self.raw.get("plotdata", {}), "plotdata")
-        inputs = section.get("inputs", [])
+        section = _mapping(_get(self.raw, "plotdata", ""), "plotdata")
+        inputs = _get(section, "inputs", "plotdata")
         if not isinstance(inputs, list):
             raise ConfigError("plotdata.inputs", "expected a list of trajectory files")
         inputs = [_as_path(p, f"plotdata.inputs[{n}]") for n, p in enumerate(inputs)]
         missing = [p for p in inputs if not Path(p).is_file()]
         if missing:
             raise ConfigError("plotdata.inputs", f"missing input files: {missing}")
-        mode = _choice(section.get("mode", "series"), "plotdata.mode", PLOT_MODES)
-        output = _as_path(section.get("output", "plotdata.csv"), "plotdata.output")
+        mode = _choice(_get(section, "mode", "plotdata"), "plotdata.mode", PLOT_MODES)
+        output = _as_path(_get(section, "output", "plotdata"), "plotdata.output")
         if output in (".", "..") or Path(output).name != output:
             raise ConfigError("plotdata.output", f"expected a file name, got {output!r}")
         return inputs, mode, output

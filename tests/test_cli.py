@@ -302,7 +302,7 @@ def test_config_error_exit_codes(tmp_path, capsys):
     ("simulate", {"integrator": {1: 2}}, "integrator"),
     ("meanfield", {"t_end": 5e-324}, "grid"),
     ("meanfield", {"strains": [{"gamma": 2.0, "mu": 5e-324}]}, "strains"),
-    ("meanfield", {"integrator": {"method": "rk4", "fixed_step": 1e-300}}, "integrator.method"),
+    ("meanfield", {"integrator": {"method": "rk4", "fixed_step": 1e-300}}, "integrator.fixed_step"),
     ("simulate", {"sizes": [2**70, 3]}, "sizes[0]"),
     ("converge", {"size_schedule": [4, 8, 2**70]}, "size_schedule[2]"),
     ("simulate", {"strains": [{"gamma": 1.0e308}]}, "strains"),
@@ -332,6 +332,13 @@ def test_config_error_exit_codes(tmp_path, capsys):
     ("plotdata", {"plotdata": {"inputs": ["no-such-trajectory.csv"]}}, "plotdata.inputs"),
     ("plotdata", {"plotdata": {"output": "a/b.csv"}}, "plotdata.output"),
     ("classify", {"sizes": [4, 5]}, "strains"),
+    # keys the schema does not declare, misspelled or retired
+    ("meanfield", {"integrator": {"rtoll": 1.0e-3}}, "integrator.rtoll"),
+    ("meanfield", {"rtoll": 1.0e-3}, "rtoll"),
+    ("simulate", {"strains": [{"gamma": 2.0, "nu": 1.0}]}, "strains[0].nu"),
+    ("simulate", {"topology": {"generator": "bipartite", "size": 3}}, "topology.size"),
+    ("plotdata", {"plotdata": {"ouput": "p.csv"}}, "plotdata.ouput"),
+    ("meanfield", {"integrator": {"method": "rk45"}}, "integrator.method"),
 ], ids=["strain-not-mapping-meanfield", "strain-not-mapping-classify", "mu-not-number",
         "fraction-not-number", "edge-not-pair", "compare-not-mapping", "values-not-rows",
         "value-not-number", "grid-entry-list", "grid-entry-string", "suite-not-name",
@@ -344,12 +351,54 @@ def test_config_error_exit_codes(tmp_path, capsys):
         "sizes-count-mismatch", "schedule-too-short", "custom-self-loop", "cycle-of-two",
         "gamma-key-not-pair", "fraction-count-mismatch", "single-island-out-of-range",
         "initial-outside-simplex", "t_end-beyond-float", "plot-inputs-not-list",
-        "plot-input-missing", "plot-output-not-file-name", "classify-unequal-sizes"])
+        "plot-input-missing", "plot-output-not-file-name", "classify-unequal-sizes",
+        "integrator-key-misspelled", "top-level-key-misspelled", "strain-key-unknown",
+        "topology-key-unknown", "plotdata-key-misspelled", "method-retired"])
 def test_wrong_type_exits_2_naming_the_field(tmp_path, capsys, command, overrides, field):
     cfg = write_cfg(tmp_path, **overrides)
     assert main([command, str(cfg), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {field}: "), err
+
+
+@pytest.mark.parametrize("text, field", [
+    ("t_end: 1\nt_end: 2\n", "t_end"),
+    ("integrator: {rtol: 1.0e-6}\nintegrator: {atol: 1.0e-6}\n", "integrator"),
+    ("initial: {kind: uniform, fraction: 0.2, kind: matrix}\n", "initial.kind"),
+], ids=["top-level", "section", "in-a-section"])
+def test_repeated_key_exits_2_naming_it(tmp_path, capsys, text, field):
+    given = {line.split(":")[0] for line in text.splitlines()}
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({k: v for k, v in BASE.items() if k not in given}) + text)
+    assert main(["meanfield", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {field}: repeated key"]
+
+
+def test_key_overriding_a_merged_key_is_not_a_repeat(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({k: v for k, v in BASE.items() if k not in ("strains", "initial")})
+                   + "strains: [&s {gamma: 2.0, mu: 1.0}, {<<: *s, gamma: 1.5}]\n"
+                   + "initial: {kind: uniform, fraction: [0.1, 0.1]}\n")
+    plain = write_cfg(tmp_path, name="plain.yaml", strains=[{"gamma": 2.0, "mu": 1.0},
+                                                            {"gamma": 1.5, "mu": 1.0}],
+                      initial={"kind": "uniform", "fraction": [0.1, 0.1]})
+    assert main(["meanfield", str(cfg), "--out", str(tmp_path / "merged")]) == 0
+    assert main(["meanfield", str(plain), "--out", str(tmp_path / "plain")]) == 0
+    assert ((tmp_path / "merged" / "meanfield.csv").read_bytes()
+            == (tmp_path / "plain" / "meanfield.csv").read_bytes())
+
+
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"t_end: \xff\xfe\n"),
+    lambda path: path.write_text("t_end: [1\n"),
+    lambda path: None,
+], ids=["directory", "not-utf-8", "malformed-yaml", "missing"])
+def test_config_file_that_cannot_be_loaded_exits_2_with_one_line(tmp_path, capsys, make):
+    make(tmp_path / "cfg.yaml")
+    assert main(["meanfield", str(tmp_path / "cfg.yaml"), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: (file): "), err
 
 
 @pytest.mark.parametrize("command", ["meanfield", "taylor", "classify", "converge"])

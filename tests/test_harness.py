@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from islandsis.harness import config
 from islandsis.harness.config import ConfigError, ExperimentConfig, canonical_hash
 from islandsis.harness.experiments import (
     mean_vs_ode,
@@ -114,6 +115,22 @@ class TestConfig:
     def test_from_dict_refuses_a_non_mapping(self):
         with pytest.raises(ConfigError, match=r"^\(file\): "):
             ExperimentConfig.from_dict([BASE])
+
+    def test_docstring_key_list_is_the_schema(self):
+        # each indented `key:` line of the module docstring's key set, nested by
+        # indentation; a `- key:` line opens a list entry, "[]" in the path
+        block = config.__doc__.split("Full key set:\n\n")[1].split("\n\n")[0]
+        paths, stack = [], []
+        for line in block.splitlines():
+            indent, dash, key = re.match(r"( *)(- )?(\w+):", line).groups()
+            column = len(indent) + len(dash or "")
+            stack = [(c, p) for c, p in stack if c < column]
+            if dash:
+                stack.append((len(indent), stack[-1][1] + "[]"))
+            paths.append(f"{stack[-1][1]}.{key}" if stack else key)
+            stack.append((column, paths[-1]))
+        assert paths == list(dict.fromkeys(paths))
+        assert set(paths) == set(config.SCHEMA)
 
     def test_from_dict_refuses_a_non_string_key(self):
         raw = dict(BASE, initial={"kind": "uniform", 1: 0.2})
